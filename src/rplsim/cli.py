@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from . import engine, metrics
-from .config import BatchConfig, ConfigError, load_batch
+from .config import BatchConfig, ConfigError, load_batch, variant_label
 from .trace import write_trace
 
 log = logging.getLogger("rplsim")
@@ -120,9 +120,6 @@ def _write_plot_data(out_dir, batch: BatchConfig, variants, results) -> dict[str
     attack_start = batch.base.attacker.attack_start_ms
     paths = {}
 
-    def series_label(mob, mode, interval):
-        return f"{mob}-baseline" if mode == "baseline" else f"{mob}-{mode}-r{interval // 1000}s"
-
     def mean_of(label, attr, scale=1.0):
         runs = by_label.get(label)
         if not runs:
@@ -143,7 +140,7 @@ def _write_plot_data(out_dir, batch: BatchConfig, variants, results) -> dict[str
                 row = [f"{interval / 1000:g}"]
                 for mob in mobs:
                     for mode in batch.modes:
-                        row.append(_fmt(mean_of(series_label(mob, mode, interval), attr, scale)))
+                        row.append(_fmt(mean_of(variant_label(mob, mode, interval), attr, scale)))
                 fh.write(" ".join(row) + "\n")
         paths[f"plot_{figure}"] = path
 
@@ -154,7 +151,7 @@ def _write_plot_data(out_dir, batch: BatchConfig, variants, results) -> dict[str
         for interval in intervals:
             row = [f"{interval / 1000:g}"]
             for mob in mobs:
-                row.append(_fmt(mean_of(series_label(mob, "cosec", interval), "ada")))
+                row.append(_fmt(mean_of(variant_label(mob, "cosec", interval), "ada")))
             fh.write(" ".join(row) + "\n")
     paths["plot_ada"] = path
 
@@ -173,7 +170,7 @@ def _write_plot_data(out_dir, batch: BatchConfig, variants, results) -> dict[str
             for attacker in attackers:
                 row = [f"{interval / 1000:g}", str(attacker)]
                 for mob in mobs:
-                    runs = by_label.get(series_label(mob, "cosec", interval))
+                    runs = by_label.get(variant_label(mob, "cosec", interval))
                     if not runs:
                         row.append("NA")
                         continue

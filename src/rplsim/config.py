@@ -42,7 +42,6 @@ class Tuning:
     dao_delay_ms: int = 100
     mobility_step_ms: int = 1000
     ids_tick_ms: int = 1000
-    neighbor_cache_margin_m: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class ScenarioConfig:
     data_size_bytes: int = 30
     tuning: Tuning = field(default_factory=Tuning)
     script: tuple[tuple[int, str], ...] = ()  # (t_ms, action) scenario events
-    trace_receives: bool = False
     trace_positions: bool = False
 
     def __post_init__(self) -> None:
@@ -118,8 +116,13 @@ class BatchConfig:
                 raise ConfigError("mobility_modes must be among %s" % (MOBILITY_MODES,))
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must not repeat")
         if any(iv <= 0 for iv in self.replay_intervals_ms):
             raise ConfigError("replay_intervals must be positive")
+        labels = [interval_label(iv) for iv in self.replay_intervals_ms]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"replay_intervals must have distinct labels, got {labels}")
 
     def variants(self):
         """Yield (label, scenario, replay_interval_ms) for the whole grid.
@@ -137,11 +140,18 @@ class BatchConfig:
 
     def _variant(self, mode: str, mobility_mode: str, interval_ms: int):
         scenario = make_variant(self.base, mode, mobility_mode, interval_ms)
-        if mode == "baseline":
-            label = f"{mobility_mode}-baseline"
-        else:
-            label = f"{mobility_mode}-{mode}-r{interval_ms // 1000}s"
-        return label, scenario, interval_ms
+        return variant_label(mobility_mode, mode, interval_ms), scenario, interval_ms
+
+
+def interval_label(interval_ms: int) -> str:
+    return f"r{interval_ms / 1000:g}s"
+
+
+def variant_label(mobility_mode: str, mode: str, interval_ms: int) -> str:
+    """The one name of a grid cell, as every output file spells it."""
+    if mode == "baseline":
+        return f"{mobility_mode}-baseline"
+    return f"{mobility_mode}-{mode}-{interval_label(interval_ms)}"
 
 
 def make_variant(

@@ -9,7 +9,10 @@ The MAC abstraction is thin: multicast frames cost one short airtime unit and
 are never retried; unicast frames strobe for a long airtime per attempt until
 the destination acknowledges (attackers never acknowledge), and a node that
 is mid-transmission cannot hear incoming frames.  Every frame charges the
-congestion window of every node in range of the sender.
+congestion window of every node in range of the sender.  Each sender's
+in-range receivers are kept as an exact list, rebuilt at start and after
+every mobility step (the only times positions change), so delivering a frame
+computes no distances.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import rpl
 from .attack import AttackerState, attacker_step
 from .config import ScenarioConfig
 from .ids import IdsState, Verdict
-from .radio import DELIVERED, Mobility, Radio
+from .radio import Mobility, Radio
 from .rpl import DataPacket, DioMessage, NodeState, Role
 
 
@@ -69,7 +72,7 @@ class Simulation:
         self.rng_radio = _stream(seed, "radio")
         self.rng_jitter = _stream(seed, "jitter")
 
-        self.radio = Radio(scenario.radio, self.rng_radio)
+        self.radio = Radio(scenario.radio, self.rng_radio, scenario.n_nodes)
         self.nodes: dict[int, NodeState] = {}
         self.attackers: dict[int, AttackerState] = {}
         self._build_nodes()
@@ -85,7 +88,7 @@ class Simulation:
             mobile_ids,
         )
 
-        self._neighbors: dict[int, list[int]] = {}
+        self._tx_free_at = [0] * scenario.n_nodes  # when each transmitter idles
         self._rebuild_neighbor_cache()
         self._probe_done_at: dict[tuple[int, int], int] = {}
 
@@ -224,19 +227,8 @@ class Simulation:
         self.trace.append((t, node, kind, *details))
 
     def _rebuild_neighbor_cache(self) -> None:
-        margin = self.scenario.radio.tx_range_m + self.scenario.tuning.neighbor_cache_margin_m
-        margin_sq = margin * margin
-        ids = sorted(self.nodes)
-        pos = {i: self.nodes[i].position for i in ids}
-        self._neighbors = {i: [] for i in ids}
-        for i_idx, a in enumerate(ids):
-            ax, ay = pos[a]
-            for b in ids[i_idx + 1 :]:
-                bx, by = pos[b]
-                dx, dy = ax - bx, ay - by
-                if dx * dx + dy * dy <= margin_sq:
-                    self._neighbors[a].append(b)
-                    self._neighbors[b].append(a)
+        positions = [self.nodes[i].position for i in range(self.scenario.n_nodes)]
+        self._in_range = self.radio.in_range_lists(positions)
 
     # -- transmission ------------------------------------------------------
 
@@ -251,36 +243,22 @@ class Simulation:
     def _transmit(self, node: NodeState, frame: Frame, not_before: int) -> None:
         """Queue one frame on the node's transceiver (FIFO in call order)."""
         frame.airtime_ms = self._airtime(frame)
-        start = max(not_before, node.tx_free_at)
-        node.tx_free_at = start + frame.airtime_ms
-        self._schedule(start + frame.airtime_ms, EventKind.MSG_DELIVERY, (frame,))
+        end = max(not_before, self._tx_free_at[node.id]) + frame.airtime_ms
+        self._tx_free_at[node.id] = end
+        self._schedule(end, EventKind.MSG_DELIVERY, (frame,))
 
     def _on_delivery(self, frame: Frame) -> None:
-        sender = self.nodes[frame.src]
-        now = self.now
-        receivers = []
-        for node_id in self._neighbors[frame.src]:
-            node = self.nodes[node_id]
-            receivers.append((node_id, node.position, now < node.tx_free_at))
-        results = self.radio.deliver(
-            sender.position,
-            frame.airtime_ms,
-            receivers,
-            now,
-            draw_for=None if frame.dst is None else frame.dst,
+        got = self.radio.deliver(
+            self.now, frame.airtime_ms, self._in_range[frame.src], self._tx_free_at, frame.dst
         )
+        nodes = self.nodes
         if frame.dst is None:
-            for node_id, _, _ in receivers:
-                if results.get(node_id) == DELIVERED:
-                    self._receive(self.nodes[node_id], frame)
+            for node_id in got:
+                self._receive(nodes[node_id], frame)
         else:
-            target = self.nodes.get(frame.dst)
-            ok = (
-                results.get(frame.dst) == DELIVERED
-                and target is not None
-                and target.role is not Role.ATTACKER
-            )
-            self._unicast_outcome(sender, frame, ok)
+            # an attacker target consumed its loss draw but never acknowledges
+            acked = got and nodes[frame.dst].role is not Role.ATTACKER
+            self._unicast_outcome(nodes[frame.src], frame, acked)
 
     def _unicast_outcome(self, sender: NodeState, frame: Frame, acked: bool) -> None:
         if frame.kind == "probe":
@@ -298,8 +276,6 @@ class Simulation:
     # -- reception ---------------------------------------------------------
 
     def _receive(self, node: NodeState, frame: Frame) -> None:
-        if self.scenario.trace_receives:
-            self._record(self.now, node.id, f"{frame.kind}_recv", frame.src)
         if node.role is Role.ATTACKER:
             if frame.kind == "dio":
                 distance = math.dist(node.position, self.nodes[frame.src].position)
@@ -526,23 +502,24 @@ class Simulation:
 
     def run(self) -> tuple["metrics_mod.RunMetrics", list[tuple]]:
         duration = self.scenario.duration_ms
-        handlers = {
-            EventKind.MSG_DELIVERY: lambda p: self._on_delivery(*p),
-            EventKind.TRICKLE_FIRE: lambda p: self._on_trickle_fire(*p),
-            EventKind.DATA_GEN: lambda p: self._generate_data(*p),
-            EventKind.MOBILITY_STEP: lambda p: self._on_mobility_step(*p),
-            EventKind.ATTACK_STEP: lambda p: self._on_attack_step(*p),
-            EventKind.IDS_TICK: lambda p: self._on_ids_tick(*p),
-            EventKind.SCRIPT: lambda p: self._on_script(*p),
-        }
+        handlers = (  # indexed by EventKind value
+            self._on_delivery,
+            self._on_trickle_fire,
+            self._generate_data,
+            self._on_mobility_step,
+            self._on_attack_step,
+            self._on_ids_tick,
+            self._on_script,
+        )
         heap = self._heap
+        pop = heapq.heappop
         while heap:
-            t, _, kind, payload = heapq.heappop(heap)
+            t, _, kind, payload = pop(heap)
             if t > duration:
                 break
             assert t >= self.now
             self.now = t
-            handlers[EventKind(kind)](payload)
+            handlers[kind](*payload)
         return metrics_mod.from_trace(self.trace), self.trace
 
 

@@ -1,6 +1,8 @@
 """Unit-disk propagation with airtime congestion, plus node mobility.
 
-Reachability is a hard disk of ``tx_range_m``.  Every frame heard at a
+Reachability is a hard disk of ``tx_range_m``: ``Radio.in_range_lists`` gives
+every sender the ascending ids of the nodes within range, and the engine
+rebuilds those lists whenever positions change.  Every frame heard at a
 receiver (addressed to it or not) charges its current congestion window with
 the frame's airtime; once a window holds more airtime than
 ``capacity_per_window * airtime_per_msg_ms``, further frames to that receiver
@@ -15,9 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-DELIVERED = "delivered"
-LOST = "lost"
 
 
 @dataclass(frozen=True)
@@ -49,59 +48,73 @@ class RadioConfig:
 class Radio:
     """Owns the congestion windows and the loss randomness for one run."""
 
-    def __init__(self, config: RadioConfig, rng):
+    def __init__(self, config: RadioConfig, rng, n_nodes: int):
         self.config = config
         self.rng = rng
-        self._windows: dict[int, tuple[int, int]] = {}  # node -> (win id, ms)
+        # airtime a window holds before frames start to be lost; none: never
+        self._capacity_ms = config.capacity_ms if config.congestion_model == "airtime" else None
+        # per node: id of the window last charged, and the airtime it holds
+        self._window_id = [-1] * n_nodes
+        self._occupied = [0] * n_nodes
 
-    def in_range(self, pos_a, pos_b) -> bool:
-        return math.dist(pos_a, pos_b) <= self.config.tx_range_m
+    def in_range_lists(self, positions) -> list[list[int]]:
+        """For each node id, the ascending ids of the other nodes in range.
 
-    def _charge(self, node_id: int, now: int, airtime_ms: int) -> int:
-        win = now // self.config.window_ms
-        prev_win, occupied = self._windows.get(node_id, (-1, 0))
-        if prev_win != win:
-            occupied = 0
-        occupied += airtime_ms
-        self._windows[node_id] = (win, occupied)
-        return occupied
+        ``positions`` is indexed by node id.  Each pair's distance is
+        computed once, so reachability is symmetric by construction.
+        """
+        reach = self.config.tx_range_m
+        lists: list[list[int]] = [[] for _ in positions]
+        for a, pos_a in enumerate(positions):
+            for b in range(a + 1, len(positions)):
+                if math.dist(pos_a, positions[b]) <= reach:
+                    lists[a].append(b)
+                    lists[b].append(a)
+        return lists
+
+    def _lost(self, occupied: int) -> bool:
+        p_loss = self.config.base_loss
+        capacity = self._capacity_ms
+        if capacity is not None and occupied > capacity:
+            p_extra = min(1.0, (occupied - capacity) / capacity)
+            p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
+        return self.rng.random() < p_loss
 
     def deliver(
         self,
-        sender_pos,
-        airtime_ms: int,
-        receivers: list[tuple[int, list[float], bool]],
         now: int,
+        airtime_ms: int,
+        receivers: list[int],
+        tx_free_at: list[int],
         draw_for: int | None = None,
-    ) -> dict[int, str]:
-        """Resolve one transmission against (id, position, rx_busy) receivers.
+    ) -> list[int] | bool:
+        """Resolve one transmission heard by ``receivers`` (ids, all in range).
 
-        Every in-range receiver's congestion window is charged (interference
-        does not care who a frame is addressed to).  Loss is drawn for every
-        in-range, non-busy receiver of a broadcast, or only for ``draw_for``
-        on a unicast.  Receiver order must be deterministic.
+        Every receiver's congestion window is charged first (interference
+        does not care who a frame is addressed to).  ``tx_free_at[r] > now``
+        marks a receiver that is transmitting and so misses the frame.  A
+        broadcast (``draw_for`` None) draws loss for each non-busy receiver
+        in list order and returns the ids that got the frame.  A unicast
+        draws only for ``draw_for``, when it is in range and not busy, and
+        returns whether it got the frame.
         """
-        cfg = self.config
-        out: dict[int, str] = {}
-        for node_id, pos, busy in receivers:
-            if math.dist(sender_pos, pos) > cfg.tx_range_m:
-                out[node_id] = LOST
-                continue
-            occupied = self._charge(node_id, now, airtime_ms)
-            if draw_for is not None and node_id != draw_for:
-                out[node_id] = LOST
-                continue
-            if busy:
-                out[node_id] = LOST
-                continue
-            p_loss = cfg.base_loss
-            if cfg.congestion_model == "airtime":
-                excess = occupied - cfg.capacity_ms
-                if excess > 0:
-                    p_extra = min(1.0, excess / cfg.capacity_ms)
-                    p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
-            out[node_id] = LOST if self.rng.random() < p_loss else DELIVERED
-        return out
+        win = now // self.config.window_ms
+        window_id, occupied = self._window_id, self._occupied
+        for r in receivers:
+            if window_id[r] == win:
+                occupied[r] += airtime_ms
+            else:
+                window_id[r] = win
+                occupied[r] = airtime_ms
+        if draw_for is None:
+            return [
+                r for r in receivers if tx_free_at[r] <= now and not self._lost(occupied[r])
+            ]
+        return (
+            draw_for in receivers
+            and tx_free_at[draw_for] <= now
+            and not self._lost(occupied[draw_for])
+        )
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,6 @@ class NodeState:
     version: int = 1
     dodag_id: int = 0
     probes_in_flight: set[int] = field(default_factory=set)
-    tx_free_at: int = 0
     data_seq: int = 0
 
     def __post_init__(self) -> None:

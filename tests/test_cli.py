@@ -89,6 +89,28 @@ class TestRunBatch:
         assert files == ["static-baseline-s1.tsv"]
 
 
+    def test_fractional_intervals_keep_their_own_results(self, tmp_path):
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text(
+            TINY.replace("modes = baseline attack cosec", "modes = attack")
+            .replace("mobility_modes = static mobile", "mobility_modes = static")
+            .replace("replications = 2", "replications = 1")
+            .replace("replay_intervals_s = 1", "replay_intervals_s = 1 1.5")
+        )
+        paths = cli.run_batch(str(cfg), str(tmp_path / "o"))
+        runs = read(paths["runs"]).decode().splitlines()[1:]
+        pdr_col = metrics.RUN_CSV_HEADER.split(",").index("pdr")
+        pdr = {row.split(",")[0]: float(row.split(",")[pdr_col]) for row in runs}
+        assert sorted(pdr) == ["static-attack-r1.5s", "static-attack-r1s"]
+        assert pdr["static-attack-r1.5s"] != pdr["static-attack-r1s"]
+        # each plot row reads its own interval's runs
+        plot = read(paths["plot_pdr"]).decode().splitlines()[1:]
+        assert [line.split() for line in plot] == [
+            ["1", f"{pdr['static-attack-r1s']:.6f}"],
+            ["1.5", f"{pdr['static-attack-r1.5s']:.6f}"],
+        ]
+
+
 class TestMain:
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -153,6 +153,30 @@ class TestVariants:
         assert labels.count("static-baseline") == 1
         assert len([l for l in labels if l.startswith("static-attack")]) == 4
 
+    def test_fractional_intervals_get_their_own_labels(self):
+        batch = BatchConfig(
+            base=ScenarioConfig(name="g"),
+            modes=("attack",),
+            mobility_modes=("static",),
+            replay_intervals_ms=(1000, 1500, 2000),
+            seeds=(1,),
+        )
+        labels = [label for label, _, _ in batch.variants()]
+        assert labels == ["static-attack-r1s", "static-attack-r1.5s", "static-attack-r2s"]
+
+    def test_colliding_interval_labels_rejected(self):
+        # 1234.567 s and 1234.568 s both print as r1234.57s
+        with pytest.raises(ConfigError, match="replay_intervals"):
+            BatchConfig(base=ScenarioConfig(name="g"), replay_intervals_ms=(1234567, 1234568))
+        with pytest.raises(ConfigError, match="replay_intervals"):
+            BatchConfig(base=ScenarioConfig(name="g"), replay_intervals_ms=(1000, 1000))
+
+    def test_repeated_seeds_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seeds"):
+            BatchConfig(base=ScenarioConfig(name="g"), seeds=(1, 2, 1))
+        with pytest.raises(ConfigError, match="seeds"):
+            load_batch(write_cfg(tmp_path, "[scenario]\nseeds = 3 4 3\n"))
+
     def test_make_variant_semantics(self):
         base = ScenarioConfig(name="v")
         baseline = make_variant(base, "baseline", "static")

@@ -260,3 +260,28 @@ class TestPositionTrace:
         assert recs
         x = float(recs[0][3])
         assert 0.0 <= x <= 150.0
+
+
+class TestInRangeLists:
+    @staticmethod
+    def brute_force(sim):
+        reach = sim.scenario.radio.tx_range_m
+        pos = {i: node.position for i, node in sim.nodes.items()}
+        return [
+            [j for j in sorted(pos) if j != i and math.dist(pos[i], pos[j]) <= reach]
+            for i in sorted(pos)
+        ]
+
+    def test_lists_match_distance_scan_while_nodes_move(self):
+        sc = make_variant(small_base(radio=RadioConfig(tx_range_m=50.0)), "attack", "mobile")
+        sim = engine.Simulation(sc, seed=4)
+        seen = [sim._in_range]
+        assert sim._in_range == self.brute_force(sim)
+        for _ in range(50):
+            sim.now += sc.tuning.mobility_step_ms
+            sim._on_mobility_step()
+            assert sim._in_range == self.brute_force(sim)
+            seen.append(sim._in_range)
+        # the topology really changed and some pairs are out of range
+        assert any(a != b for a, b in zip(seen, seen[1:]))
+        assert any(len(lst) < sc.n_nodes - 1 for lst in seen[-1])

@@ -8,48 +8,69 @@ import random
 import pytest
 
 from rplsim.radio import (
-    DELIVERED,
-    LOST,
     Mobility,
     MobilityConfig,
     Radio,
     RadioConfig,
 )
 
+IDLE = [0, 0]  # tx_free_at: no node is transmitting
+BUSY = [0, 10**9]  # node 1 transmits throughout
+
 
 def make_radio(**kwargs):
-    return Radio(RadioConfig(**kwargs), random.Random(42))
+    return Radio(RadioConfig(**kwargs), random.Random(42), 2)
 
 
 class TestUnitDisk:
     def test_out_of_range_is_lost(self):
         radio = make_radio(base_loss=0.0)
-        got = radio.deliver([0, 0], 10, [(1, [51.0, 0.0], False)], now=0)
-        assert got[1] == LOST
+        in_range = radio.in_range_lists([[0.0, 0.0], [51.0, 0.0]])
+        assert in_range == [[], []]
+        assert radio.deliver(0, 10, in_range[0], IDLE) == []
+        assert radio.deliver(0, 10, in_range[0], IDLE, 1) is False
 
     def test_in_range_lossless_is_certain(self):
         radio = make_radio(base_loss=0.0, congestion_model="none")
         for _ in range(50):
-            got = radio.deliver([0, 0], 10, [(1, [49.9, 0.0], False)], now=0)
-            assert got[1] == DELIVERED
+            assert radio.deliver(0, 10, [1], IDLE) == [1]
+            assert radio.deliver(0, 10, [1], IDLE, 1) is True
 
     def test_boundary_inclusive(self):
         radio = make_radio(base_loss=0.0, congestion_model="none")
-        got = radio.deliver([0, 0], 10, [(1, [50.0, 0.0], False)], now=0)
-        assert got[1] == DELIVERED
-
-    def test_symmetry(self):
-        radio = make_radio()
-        rng = random.Random(9)
-        for _ in range(100):
-            a = [rng.uniform(0, 100), rng.uniform(0, 100)]
-            b = [rng.uniform(0, 100), rng.uniform(0, 100)]
-            assert radio.in_range(a, b) == radio.in_range(b, a)
+        in_range = radio.in_range_lists([[0.0, 0.0], [50.0, 0.0]])
+        assert in_range == [[1], [0]]
+        assert radio.deliver(0, 10, in_range[0], IDLE) == [1]
 
     def test_busy_receiver_misses_frame(self):
         radio = make_radio(base_loss=0.0, congestion_model="none")
-        got = radio.deliver([0, 0], 10, [(1, [10.0, 0.0], True)], now=0)
-        assert got[1] == LOST
+        assert radio.deliver(0, 10, [1], BUSY) == []
+        assert radio.deliver(0, 10, [1], BUSY, 1) is False
+
+
+class TestLossDraws:
+    """Loss is drawn only where a frame could arrive, in receiver order."""
+
+    def draws_used(self, radio) -> int:
+        probe = random.Random(42)
+        for used in range(10):
+            if probe.getstate() == radio.rng.getstate():
+                return used
+            probe.random()
+        raise AssertionError("more than 10 draws")
+
+    def test_broadcast_draws_for_each_idle_receiver(self):
+        radio = Radio(RadioConfig(), random.Random(42), 4)
+        radio.deliver(0, 10, [1, 2, 3], [0, 0, 10**9, 0])
+        assert self.draws_used(radio) == 2
+
+    def test_unicast_draws_only_for_addressee(self):
+        radio = Radio(RadioConfig(), random.Random(42), 4)
+        radio.deliver(0, 10, [1, 2, 3], [0] * 4, 2)
+        assert self.draws_used(radio) == 1
+        radio.deliver(0, 10, [1, 3], [0] * 4, 2)  # addressee out of range
+        radio.deliver(0, 10, [1, 2, 3], [0, 0, 10**9, 0], 2)  # addressee busy
+        assert self.draws_used(radio) == 1
 
 
 class TestCongestion:
@@ -57,30 +78,32 @@ class TestCongestion:
         radio = make_radio(base_loss=0.0)
         # fill the window to twice its capacity: 100 ms capacity, 200 ms used
         for _ in range(20):
-            radio.deliver([0, 0], 10, [(1, [10.0, 0.0], True)], now=50)
-        got = radio.deliver([0, 0], 10, [(1, [10.0, 0.0], False)], now=60)
-        assert got[1] == LOST
+            radio.deliver(50, 10, [1], BUSY)
+        assert radio.deliver(60, 10, [1], IDLE) == []
 
     def test_fresh_window_forgets_old_load(self):
         radio = make_radio(base_loss=0.0)
         for _ in range(30):
-            radio.deliver([0, 0], 10, [(1, [10.0, 0.0], True)], now=50)
-        got = radio.deliver([0, 0], 10, [(1, [10.0, 0.0], False)], now=150)
-        assert got[1] == DELIVERED
+            radio.deliver(50, 10, [1], BUSY)
+        assert radio.deliver(150, 10, [1], IDLE) == [1]
 
     def test_below_capacity_no_congestion_loss(self):
         radio = make_radio(base_loss=0.0)
         for _ in range(9):
-            radio.deliver([0, 0], 10, [(1, [10.0, 0.0], True)], now=0)
-        got = radio.deliver([0, 0], 10, [(1, [10.0, 0.0], False)], now=5)
-        assert got[1] == DELIVERED
+            radio.deliver(0, 10, [1], BUSY)
+        assert radio.deliver(5, 10, [1], IDLE) == [1]
 
     def test_congestion_none_ignores_load(self):
         radio = make_radio(base_loss=0.0, congestion_model="none")
         for _ in range(50):
-            radio.deliver([0, 0], 10, [(1, [10.0, 0.0], True)], now=0)
-        got = radio.deliver([0, 0], 10, [(1, [10.0, 0.0], False)], now=5)
-        assert got[1] == DELIVERED
+            radio.deliver(0, 10, [1], BUSY)
+        assert radio.deliver(5, 10, [1], IDLE) == [1]
+
+    def test_unicast_load_charges_bystanders(self):
+        radio = make_radio(base_loss=0.0)
+        for _ in range(20):
+            radio.deliver(50, 10, [1], IDLE, 0)  # addressed elsewhere
+        assert radio.deliver(60, 10, [1], IDLE) == []
 
     def test_flooding_attack_raises_loss_rate(self):
         """Paired seeded runs: co-located flooding strictly raises loss."""
