@@ -74,5 +74,4 @@ def attacker_step(node: NodeState, state: AttackerState, now: int) -> DioMessage
         dodag_id=captured.dodag_id,
         version=captured.version,
         rank=captured.rank,
-        instance_id=captured.instance_id,
     )

@@ -70,7 +70,11 @@ def run_batch(
             raw = pool.map(_run_one, jobs)
     else:
         raw = [_run_one(job) for job in jobs]
-    results = {(label, seed): (m, trace) for label, seed, m, trace in raw}
+    run_metrics = {(label, seed): m for label, seed, m, _ in raw}
+    by_label = {
+        label: [run_metrics[(label, seed)] for seed in batch.seeds]
+        for label, _, _ in variants
+    }
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
@@ -79,8 +83,8 @@ def run_batch(
     with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(metrics.RUN_CSV_HEADER + "\n")
         for label, _, _ in variants:
-            for seed in batch.seeds:
-                fh.write(metrics.run_csv_row(label, seed, results[(label, seed)][0]) + "\n")
+            for seed, m in zip(batch.seeds, by_label[label]):
+                fh.write(metrics.run_csv_row(label, seed, m) + "\n")
     paths["runs"] = runs_path
 
     summary_path = os.path.join(out_dir, "summary.csv")
@@ -89,71 +93,53 @@ def run_batch(
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(metrics.AGGREGATE_CSV_HEADER + "\n")
         for label, _, _ in variants:
-            runs = [results[(label, seed)][0] for seed in batch.seeds]
-            fh.write(metrics.aggregate_csv_row(label, runs, duration, attack_start) + "\n")
+            fh.write(
+                metrics.aggregate_csv_row(label, by_label[label], duration, attack_start) + "\n"
+            )
     paths["summary"] = summary_path
 
-    paths.update(_write_plot_data(out_dir, batch, variants, results))
+    paths.update(_write_plot_data(out_dir, batch, by_label))
 
     if keep_traces:
         trace_dir = os.path.join(out_dir, "traces")
         os.makedirs(trace_dir, exist_ok=True)
-        for (label, seed), (_, trace) in sorted(results.items()):
-            if trace is not None:
-                write_trace(trace, os.path.join(trace_dir, f"{label}-s{seed}.tsv"))
+        traces = {(label, seed): trace for label, seed, _, trace in raw}
+        for (label, seed), trace in sorted(traces.items()):
+            write_trace(trace, os.path.join(trace_dir, f"{label}-s{seed}.tsv"))
         paths["traces"] = trace_dir
     return paths
 
 
-def _fmt(value, scale=1.0) -> str:
-    return "NA" if value is None else f"{value * scale:.6f}"
-
-
-def _write_plot_data(out_dir, batch: BatchConfig, variants, results) -> dict[str, str]:
-    by_label = {
-        label: [results[(label, seed)][0] for seed in batch.seeds]
-        for label, _, _ in variants
-    }
+def _write_plot_data(out_dir, batch: BatchConfig, by_label) -> dict[str, str]:
+    """The four figure files, from each variant's per-seed RunMetrics."""
+    fmt = metrics.fmt
     intervals = sorted(batch.replay_intervals_ms)
     mobs = [m for m in ("static", "mobile") if m in batch.mobility_modes]
     duration = batch.base.duration_ms
     attack_start = batch.base.attacker.attack_start_ms
     paths = {}
 
-    def mean_of(label, attr, scale=1.0):
+    def mean_of(label, attr):
         runs = by_label.get(label)
-        if not runs:
-            return None
-        mean = metrics.aggregate([getattr(m, attr) for m in runs]).mean
-        return None if mean is None else mean * scale
+        return metrics.aggregate([getattr(m, attr) for m in runs]).mean if runs else None
 
-    for figure, attr, scale in (("pdr", "pdr", 1.0), ("ae2ed", "ae2ed_ms", 0.001)):
+    figures = (
+        ("pdr", "pdr", 1.0, batch.modes),
+        ("ae2ed", "ae2ed_ms", 0.001, batch.modes),
+        ("ada", "ada", 1.0, ("cosec",)),
+    )
+    for figure, attr, scale, modes in figures:
         path = os.path.join(out_dir, f"plot_{figure}.dat")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            cols = [
-                f"{mob}-{mode}"
-                for mob in mobs
-                for mode in batch.modes
-            ]
+            cols = [f"{mob}-{mode}" for mob in mobs for mode in modes]
             fh.write("# replay_interval_s " + " ".join(cols) + "\n")
             for interval in intervals:
                 row = [f"{interval / 1000:g}"]
                 for mob in mobs:
-                    for mode in batch.modes:
-                        row.append(_fmt(mean_of(variant_label(mob, mode, interval), attr, scale)))
+                    for mode in modes:
+                        row.append(fmt(mean_of(variant_label(mob, mode, interval), attr), scale))
                 fh.write(" ".join(row) + "\n")
         paths[f"plot_{figure}"] = path
-
-    path = os.path.join(out_dir, "plot_ada.dat")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = [f"{mob}-cosec" for mob in mobs]
-        fh.write("# replay_interval_s " + " ".join(cols) + "\n")
-        for interval in intervals:
-            row = [f"{interval / 1000:g}"]
-            for mob in mobs:
-                row.append(_fmt(mean_of(variant_label(mob, "cosec", interval), "ada")))
-            fh.write(" ".join(row) + "\n")
-    paths["plot_ada"] = path
 
     path = os.path.join(out_dir, "plot_frt.dat")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -174,14 +160,8 @@ def _write_plot_data(out_dir, batch: BatchConfig, variants, results) -> dict[str
                     if not runs:
                         row.append("NA")
                         continue
-                    vals = [
-                        float(m.frt_ms[attacker])
-                        if m.frt_ms.get(attacker) is not None
-                        else float(duration - attack_start)
-                        for m in runs
-                        if attacker in m.frt_ms
-                    ]
-                    row.append(_fmt(metrics.aggregate(vals).mean, 0.001))
+                    vals = metrics.censored_frt_values(runs, duration, attack_start, attacker)
+                    row.append(fmt(metrics.aggregate(vals).mean, 0.001))
                 fh.write(" ".join(row) + "\n")
     paths["plot_frt"] = path
     return paths

@@ -30,21 +30,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Tuning:
-    """Protocol/MAC knobs that are not part of the headline parameter set."""
-
-    probe_attempts: int = 5
-    probe_cooldown_ms: int = 1000
-    data_retries: int = 1  # retransmissions per hop attempt chain
-    retry_backoff_ms: int = 150
-    fwd_delay_min_ms: int = 20
-    fwd_delay_max_ms: int = 80
-    dao_delay_ms: int = 100
-    mobility_step_ms: int = 1000
-    ids_tick_ms: int = 1000
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str = "scenario"
     duration_ms: int = 1_800_000
@@ -59,8 +44,6 @@ class ScenarioConfig:
     ids_enabled: bool = False
     objective: ObjectiveMode = ObjectiveMode.MRHOF_ETX
     data_interval_ms: int = 60_000
-    data_size_bytes: int = 30
-    tuning: Tuning = field(default_factory=Tuning)
     script: tuple[tuple[int, str], ...] = ()  # (t_ms, action) scenario events
     trace_positions: bool = False
 
@@ -179,58 +162,10 @@ def make_variant(
     return replace(base, **kwargs)
 
 
+
+
 # ---------------------------------------------------------------------------
 # on-disk format
-
-_SCHEMA = {
-    "scenario": {
-        "name",
-        "duration_s",
-        "sensors",
-        "attackers",
-        "topology",
-        "positions",
-        "objective",
-        "data_interval_s",
-        "data_size_bytes",
-        "replications",
-        "seeds",
-        "modes",
-        "mobility_modes",
-        "replay_intervals_s",
-    },
-    "radio": {
-        "tx_range_m",
-        "base_loss",
-        "congestion",
-        "airtime_ms",
-        "capacity_per_window",
-        "window_ms",
-        "strobe_ms",
-    },
-    "mobility": {"speed_min", "speed_max", "area_m", "pause_s"},
-    "attacker": {"attack_start_s", "capture"},
-    "ids": {
-        "safe_interval_ms",
-        "block_threshold",
-        "delta",
-        "node_max",
-        "activation_s",
-        "check_period_s",
-        "sigma_margin_ms",
-        "min_gap_mode",
-    },
-}
-
-
-def _get(section, key, conv, default, where):
-    raw = section.get(key)
-    if raw is None:
-        return default
-    try:
-        return conv(raw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"[{where}] {key}: {err}") from err
 
 
 def _bool(raw: str) -> bool:
@@ -242,12 +177,28 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split()]
+def _ms(raw: str) -> int:
+    """Seconds to whole milliseconds, rounded to the nearest."""
+    return round(float(raw) * 1000)
 
 
-def _ints(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split()]
+def _ms_list(raw: str) -> tuple[int, ...]:
+    return tuple(_ms(tok) for tok in raw.split())
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split())
+
+
+def _words(raw: str) -> tuple[str, ...]:
+    return tuple(raw.split())
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    values = tuple(float(tok) for tok in raw.split())
+    if len(values) != 2:
+        raise ValueError("need two numbers")
+    return values
 
 
 def _positions(raw: str) -> tuple[tuple[int, float, float], ...]:
@@ -259,106 +210,106 @@ def _positions(raw: str) -> tuple[tuple[int, float, float], ...]:
     return tuple(out)
 
 
+def _objective(raw: str) -> ObjectiveMode:
+    objective = {"mrhof": ObjectiveMode.MRHOF_ETX, "of0": ObjectiveMode.OF0}.get(raw)
+    if objective is None:
+        raise ValueError("must be 'mrhof' or 'of0'")
+    return objective
+
+
+def _replications(raw: str) -> int:
+    count = int(raw)
+    if count < 1:
+        raise ValueError("must be >= 1")
+    return count
+
+
+# section -> INI key -> (field, parser).  [scenario] fills ScenarioConfig and
+# BatchConfig (plus ``replications``); every other section fills its own
+# dataclass.  Keys left out of a file keep the dataclass field defaults.
+_FORMAT = {
+    "scenario": {
+        "name": ("name", str),
+        "duration_s": ("duration_ms", _ms),
+        "sensors": ("n_sensors", int),
+        "attackers": ("n_attackers", int),
+        "topology": ("topology", str),
+        "positions": ("positions", _positions),
+        "objective": ("objective", _objective),
+        "data_interval_s": ("data_interval_ms", _ms),
+        "replications": ("replications", _replications),
+        "seeds": ("seeds", _ints),
+        "modes": ("modes", _words),
+        "mobility_modes": ("mobility_modes", _words),
+        "replay_intervals_s": ("replay_intervals_ms", _ms_list),
+    },
+    "radio": {
+        "tx_range_m": ("tx_range_m", float),
+        "base_loss": ("base_loss", float),
+        "congestion": ("congestion_model", str),
+        "airtime_ms": ("airtime_per_msg_ms", int),
+        "capacity_per_window": ("capacity_per_window", int),
+        "window_ms": ("window_ms", int),
+        "strobe_ms": ("strobe_airtime_ms", int),
+    },
+    "mobility": {
+        "speed_min": ("speed_min", float),
+        "speed_max": ("speed_max", float),
+        "area_m": ("area", _pair),
+        "pause_s": ("pause_ms", _ms),
+    },
+    "attacker": {
+        "attack_start_s": ("attack_start_ms", _ms),
+        "capture": ("capture_policy", CapturePolicy),
+    },
+    "ids": {
+        "safe_interval_ms": ("safe_interval_ms", int),
+        "block_threshold": ("block_threshold", int),
+        "delta": ("fence_delta", float),
+        "node_max": ("node_max", int),
+        "activation_s": ("activation_delay_ms", _ms),
+        "check_period_s": ("check_period_ms", _ms),
+        "sigma_margin_ms": ("sigma_margin_ms", int),
+        "min_gap_mode": ("min_gap_mode", _bool),
+    },
+}
+_BATCH_KEYS = ("replications", "seeds", "modes", "mobility_modes", "replay_intervals_ms")
+
+
 def load_batch(path: str) -> BatchConfig:
     """Parse a config file into a BatchConfig, validating every field."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file: {path}")
 
+    given: dict[str, dict] = {section: {} for section in _FORMAT}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _FORMAT:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if key not in _FORMAT[section]:
                 raise ConfigError(f"[{section}] unknown key: {key}")
+            name, parse = _FORMAT[section][key]
+            try:
+                given[section][name] = parse(raw)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"[{section}] {key}: {err}") from err
 
-    sc = parser["scenario"] if parser.has_section("scenario") else {}
-    ra = parser["radio"] if parser.has_section("radio") else {}
-    mo = parser["mobility"] if parser.has_section("mobility") else {}
-    at = parser["attacker"] if parser.has_section("attacker") else {}
-    ids_s = parser["ids"] if parser.has_section("ids") else {}
-
+    scenario = given["scenario"]
+    batch = {key: scenario.pop(key) for key in _BATCH_KEYS if key in scenario}
+    replications = batch.pop("replications", None)
+    if replications is not None:
+        batch.setdefault("seeds", tuple(range(1, replications + 1)))
     try:
-        radio = RadioConfig(
-            tx_range_m=_get(ra, "tx_range_m", float, 50.0, "radio"),
-            base_loss=_get(ra, "base_loss", float, 0.01, "radio"),
-            congestion_model=_get(ra, "congestion", str, "airtime", "radio"),
-            airtime_per_msg_ms=_get(ra, "airtime_ms", int, 10, "radio"),
-            capacity_per_window=_get(ra, "capacity_per_window", int, 10, "radio"),
-            window_ms=_get(ra, "window_ms", int, 100, "radio"),
-            strobe_airtime_ms=_get(ra, "strobe_ms", int, 100, "radio"),
-        )
-        area = _get(mo, "area_m", _floats, [150.0, 150.0], "mobility")
-        if len(area) != 2:
-            raise ConfigError("[mobility] area_m: need two numbers")
-        mobility = MobilityConfig(
-            model="static",
-            speed_min=_get(mo, "speed_min", float, 1.0, "mobility"),
-            speed_max=_get(mo, "speed_max", float, 2.0, "mobility"),
-            area=(area[0], area[1]),
-            pause_ms=int(_get(mo, "pause_s", float, 0.0, "mobility") * 1000),
-        )
-        attacker = AttackerConfig(
-            replay_interval_ms=1000,
-            attack_start_ms=int(_get(at, "attack_start_s", float, 90.0, "attacker") * 1000),
-            capture_policy=CapturePolicy(
-                _get(at, "capture", str, "first_heard", "attacker")
-            ),
-        )
-        n_sensors = _get(sc, "sensors", int, 16, "scenario")
-        n_attackers = _get(sc, "attackers", int, 4, "scenario")
-        ids_cfg = IdsConfig(
-            safe_interval_ms=_get(ids_s, "safe_interval_ms", int, 500, "ids"),
-            block_threshold=_get(ids_s, "block_threshold", int, 5, "ids"),
-            fence_delta=_get(ids_s, "delta", float, 1.0, "ids"),
-            node_max=_get(ids_s, "node_max", int, 1 + n_sensors + n_attackers, "ids"),
-            activation_delay_ms=int(_get(ids_s, "activation_s", float, 120.0, "ids") * 1000),
-            check_period_ms=int(_get(ids_s, "check_period_s", float, 30.0, "ids") * 1000),
-            sigma_margin_ms=_get(ids_s, "sigma_margin_ms", int, 4500, "ids"),
-            min_gap_mode=_get(ids_s, "min_gap_mode", _bool, False, "ids"),
-        )
-        objective = {
-            "mrhof": ObjectiveMode.MRHOF_ETX,
-            "of0": ObjectiveMode.OF0,
-        }.get(_get(sc, "objective", str, "mrhof", "scenario"))
-        if objective is None:
-            raise ConfigError("[scenario] objective: must be 'mrhof' or 'of0'")
-
         base = ScenarioConfig(
-            name=_get(sc, "name", str, "scenario", "scenario"),
-            duration_ms=int(_get(sc, "duration_s", float, 1800.0, "scenario") * 1000),
-            n_sensors=n_sensors,
-            n_attackers=n_attackers,
-            topology=_get(sc, "topology", str, "random", "scenario"),
-            positions=_get(sc, "positions", _positions, (), "scenario"),
-            radio=radio,
-            mobility=mobility,
-            attacker=attacker,
-            ids=ids_cfg,
-            objective=objective,
-            data_interval_ms=int(
-                _get(sc, "data_interval_s", float, 60.0, "scenario") * 1000
-            ),
-            data_size_bytes=_get(sc, "data_size_bytes", int, 30, "scenario"),
+            **scenario,
+            radio=RadioConfig(**given["radio"]),
+            mobility=MobilityConfig(**given["mobility"]),
+            attacker=AttackerConfig(**given["attacker"]),
         )
-
-        replications = _get(sc, "replications", int, 10, "scenario")
-        if replications < 1:
-            raise ConfigError("[scenario] replications: must be >= 1")
-        seeds = _get(sc, "seeds", _ints, list(range(1, replications + 1)), "scenario")
-        modes = tuple(_get(sc, "modes", str, "baseline attack cosec", "scenario").split())
-        mobility_modes = tuple(
-            _get(sc, "mobility_modes", str, "static mobile", "scenario").split()
-        )
-        intervals = _get(sc, "replay_intervals_s", _floats, [1.0, 2.0, 3.0, 4.0], "scenario")
-        return BatchConfig(
-            base=base,
-            modes=modes,
-            mobility_modes=mobility_modes,
-            replay_intervals_ms=tuple(int(s * 1000) for s in intervals),
-            seeds=tuple(seeds),
-        )
+        given["ids"].setdefault("node_max", base.n_nodes)
+        base = replace(base, ids=IdsConfig(**given["ids"]))
+        return BatchConfig(base=base, **batch)
     except ConfigError:
         raise
     except ValueError as err:

@@ -13,6 +13,10 @@ congestion window of every node in range of the sender.  Each sender's
 in-range receivers are kept as an exact list, rebuilt at start and after
 every mobility step (the only times positions change), so delivering a frame
 computes no distances.
+
+Protocol timings are the fixed module constants below, not configuration:
+probe strobes and cooldown, data retries and backoff, forwarding and DAO
+delays, and the mobility and detector timer periods.
 """
 
 from __future__ import annotations
@@ -31,6 +35,16 @@ from .config import ScenarioConfig
 from .ids import IdsState, Verdict
 from .radio import Mobility, Radio
 from .rpl import DataPacket, DioMessage, NodeState, Role
+
+PROBE_ATTEMPTS = 5
+PROBE_COOLDOWN_MS = 1000
+DATA_RETRIES = 1  # retransmissions per hop attempt chain
+RETRY_BACKOFF_MS = 150
+FWD_DELAY_MIN_MS = 20
+FWD_DELAY_MAX_MS = 80
+DAO_DELAY_MS = 100
+MOBILITY_STEP_MS = 1000
+IDS_TICK_MS = 1000
 
 
 class EventKind(enum.IntEnum):
@@ -77,15 +91,10 @@ class Simulation:
         self.attackers: dict[int, AttackerState] = {}
         self._build_nodes()
 
-        mobile_ids = (
-            [n for n in sorted(self.nodes) if n != scenario.root_id]
-            if scenario.mobility.model == "random_waypoint"
-            else []
-        )
         self.mobility = Mobility(
             scenario.mobility,
             lambda node_id: _stream(seed, f"mobility/{node_id}"),
-            mobile_ids,
+            [n for n in sorted(self.nodes) if n != scenario.root_id],
         )
 
         self._tx_free_at = [0] * scenario.n_nodes  # when each transmitter idles
@@ -208,9 +217,9 @@ class Simulation:
                 scenario.attacker.attack_start_ms, EventKind.ATTACK_STEP, (attacker,)
             )
         if self.mobility.mobile_ids:
-            self._schedule(scenario.tuning.mobility_step_ms, EventKind.MOBILITY_STEP, ())
+            self._schedule(MOBILITY_STEP_MS, EventKind.MOBILITY_STEP, ())
         if scenario.ids_enabled:
-            self._schedule(scenario.tuning.ids_tick_ms, EventKind.IDS_TICK, ())
+            self._schedule(IDS_TICK_MS, EventKind.IDS_TICK, ())
         for at_ms, action in scenario.script:
             self._schedule(at_ms, EventKind.SCRIPT, (action,))
 
@@ -323,23 +332,18 @@ class Simulation:
             elif name == "send_dao":
                 self._record(self.now, node.id, "dao_sent", action[1])
                 frame = Frame("dao", node.id, action[1])
-                self._transmit(node, frame, self.now + self.scenario.tuning.dao_delay_ms)
+                self._transmit(node, frame, self.now + DAO_DELAY_MS)
 
     # -- probing -----------------------------------------------------------
 
     def _maybe_probe(self, node: NodeState, target: int) -> None:
         if target in node.probes_in_flight:
             return
-        cooldown = self.scenario.tuning.probe_cooldown_ms
-        if cooldown and self._probe_done_at.get((node.id, target), -cooldown) + cooldown > self.now:
+        last = self._probe_done_at.get((node.id, target), -PROBE_COOLDOWN_MS)
+        if last + PROBE_COOLDOWN_MS > self.now:
             return
         node.probes_in_flight.add(target)
-        frame = Frame(
-            "probe",
-            node.id,
-            target,
-            max_attempts=self.scenario.tuning.probe_attempts,
-        )
+        frame = Frame("probe", node.id, target, max_attempts=PROBE_ATTEMPTS)
         self._transmit(node, frame, self.now)
 
     def _probe_outcome(self, node: NodeState, frame: Frame, acked: bool) -> None:
@@ -366,7 +370,6 @@ class Simulation:
             origin=sensor_id,
             seq=node.data_seq,
             created_ms=self.now,
-            size_bytes=self.scenario.data_size_bytes,
             path=[sensor_id],
         )
         self._send_data_hop(node, packet, self.now)
@@ -386,7 +389,7 @@ class Simulation:
             node.id,
             node.preferred_parent,
             payload=packet,
-            max_attempts=1 + self.scenario.tuning.data_retries,
+            max_attempts=1 + DATA_RETRIES,
         )
         self._transmit(node, frame, not_before)
 
@@ -409,9 +412,8 @@ class Simulation:
                 attempt=frame.attempt + 1,
                 max_attempts=frame.max_attempts,
             )
-            backoff = self.scenario.tuning.retry_backoff_ms
-            jitter = int(self.rng_jitter.random() * backoff)
-            self._transmit(node, retry, self.now + backoff + jitter)
+            jitter = int(self.rng_jitter.random() * RETRY_BACKOFF_MS)
+            self._transmit(node, retry, self.now + RETRY_BACKOFF_MS + jitter)
             return
         self._apply_actions(
             node, rpl.note_link_outcome(node, frame.dst, frame.attempt, False)
@@ -428,9 +430,8 @@ class Simulation:
             self._record(self.now, node.id, "loop_drop", packet.origin, packet.seq)
             return
         packet.path.append(node.id)
-        tuning = self.scenario.tuning
-        delay = tuning.fwd_delay_min_ms + int(
-            self.rng_jitter.random() * (tuning.fwd_delay_max_ms - tuning.fwd_delay_min_ms)
+        delay = FWD_DELAY_MIN_MS + int(
+            self.rng_jitter.random() * (FWD_DELAY_MAX_MS - FWD_DELAY_MIN_MS)
         )
         self._send_data_hop(node, packet, self.now + delay)
 
@@ -475,19 +476,17 @@ class Simulation:
             node = self.nodes[node_id]
             if node.ids is not None:
                 ids_mod.tick(node.ids, self.now)
-        self._schedule(self.now + self.scenario.tuning.ids_tick_ms, EventKind.IDS_TICK, ())
+        self._schedule(self.now + IDS_TICK_MS, EventKind.IDS_TICK, ())
 
     def _on_mobility_step(self) -> None:
         positions = {i: self.nodes[i].position for i in self.nodes}
-        self.mobility.move(positions, self.scenario.tuning.mobility_step_ms, self.now)
+        self.mobility.move(positions, MOBILITY_STEP_MS, self.now)
         self._rebuild_neighbor_cache()
         if self.scenario.trace_positions:
             for node_id in sorted(self.nodes):
                 x, y = self.nodes[node_id].position
                 self._record(self.now, node_id, "position", f"{x:.3f}", f"{y:.3f}")
-        self._schedule(
-            self.now + self.scenario.tuning.mobility_step_ms, EventKind.MOBILITY_STEP, ()
-        )
+        self._schedule(self.now + MOBILITY_STEP_MS, EventKind.MOBILITY_STEP, ())
 
     def _on_script(self, action: str) -> None:
         if action == "global_repair":

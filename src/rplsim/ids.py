@@ -100,6 +100,8 @@ class DioVerdict:
 
 @dataclass
 class IdsState:
+    """One node's detector; ``init_tables`` fills the tables on first use."""
+
     config: IdsConfig
     neighbors: list[NeighborEntry] = field(default_factory=list)
     blacklist: list[BlacklistEntry] = field(default_factory=list)
@@ -109,12 +111,6 @@ class IdsState:
     active: bool = False
     last_armed_ms: int | None = None
     overflow_count: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.neighbors:
-            self.neighbors = [NeighborEntry() for _ in range(self.config.node_max)]
-        if not self.blacklist:
-            self.blacklist = [BlacklistEntry() for _ in range(self.config.node_max)]
 
     def live_neighbors(self) -> list[tuple[int, NeighborEntry]]:
         return [

@@ -52,9 +52,6 @@ class RunMetrics:
     overflow_events: int
     loop_drops: int
 
-    def __eq__(self, other):  # dict fields keep dataclass eq usable
-        return isinstance(other, RunMetrics) and self.__dict__ == other.__dict__
-
 
 def ground_truth(trace) -> GroundTruth:
     for rec in trace:
@@ -98,34 +95,23 @@ def compute_ada(trace, truth: GroundTruth | None = None) -> float | None:
     return true_hits / total
 
 
-def compute_frt(trace, truth: GroundTruth | None = None) -> dict[int, int | None]:
-    """First suspicion time minus attack launch, per attacker (ms)."""
+def compute_frt(
+    trace, truth: GroundTruth | None = None, kind: str = "ids_suspect"
+) -> dict[int, int | None]:
+    """First ``kind`` record about each attacker minus attack launch (ms).
+
+    The default gives the first response time; ``kind="ids_block"`` gives
+    the first permanent-block time.
+    """
     truth = truth or ground_truth(trace)
     first_seen: dict[int, int] = {}
     for rec in trace:
-        if rec[2] == "ids_suspect" and rec[3] in truth.attacker_set:
+        if rec[2] == kind and rec[3] in truth.attacker_set:
             first_seen.setdefault(rec[3], rec[0])
     return {
         attacker: (
             first_seen[attacker] - truth.attack_start_ms
             if attacker in first_seen
-            else None
-        )
-        for attacker in sorted(truth.attacker_set)
-    }
-
-
-def compute_block_times(trace, truth: GroundTruth | None = None) -> dict[int, int | None]:
-    """First permanent-block time minus attack launch, per attacker (ms)."""
-    truth = truth or ground_truth(trace)
-    first_block: dict[int, int] = {}
-    for rec in trace:
-        if rec[2] == "ids_block" and rec[3] in truth.attacker_set:
-            first_block.setdefault(rec[3], rec[0])
-    return {
-        attacker: (
-            first_block[attacker] - truth.attack_start_ms
-            if attacker in first_block
             else None
         )
         for attacker in sorted(truth.attacker_set)
@@ -151,7 +137,7 @@ def from_trace(trace) -> RunMetrics:
         ae2ed_ms=compute_ae2ed(trace),
         ada=compute_ada(trace, truth),
         frt_ms=compute_frt(trace, truth),
-        block_ms=compute_block_times(trace, truth),
+        block_ms=compute_frt(trace, truth, "ids_block"),
         dio_sent=counts["dio_sent"],
         dis_sent=counts["dis_sent"],
         dao_sent=counts["dao_sent"],
@@ -199,15 +185,22 @@ def aggregate(values) -> Aggregate:
 
 
 def censored_frt_values(
-    runs: list[RunMetrics], duration_ms: int, attack_start_ms: int
+    runs: list[RunMetrics],
+    duration_ms: int,
+    attack_start_ms: int,
+    attacker: int | None = None,
 ) -> list[float]:
-    """All per-(attacker, run) response times, censored at run end."""
+    """Per-(attacker, run) response times, censored at run end.
+
+    All attackers by default, or only ``attacker``'s times when given.
+    """
     horizon = float(duration_ms - attack_start_ms)
     out: list[float] = []
     for run in runs:
-        for attacker in sorted(run.frt_ms):
-            value = run.frt_ms[attacker]
-            out.append(horizon if value is None else float(value))
+        for subject in sorted(run.frt_ms):
+            if attacker is None or subject == attacker:
+                value = run.frt_ms[subject]
+                out.append(horizon if value is None else float(value))
     return out
 
 
@@ -227,7 +220,8 @@ AGGREGATE_CSV_HEADER = (
 )
 
 
-def _fmt(value, scale=1.0) -> str:
+def fmt(value, scale=1.0) -> str:
+    """One CSV or plot number: scaled, six decimals, ``NA`` when undefined."""
     if value is None:
         return "NA"
     return f"{value * scale:.6f}"
@@ -235,7 +229,7 @@ def _fmt(value, scale=1.0) -> str:
 
 def _per_attacker(values: dict[int, int | None]) -> str:
     rendered = ";".join(
-        f"{attacker}={_fmt(value, 0.001)}" for attacker, value in sorted(values.items())
+        f"{attacker}={fmt(value, 0.001)}" for attacker, value in sorted(values.items())
     )
     return rendered or "none"
 
@@ -245,9 +239,9 @@ def run_csv_row(label: str, seed: int, m: RunMetrics) -> str:
         [
             label,
             str(seed),
-            _fmt(m.pdr),
-            _fmt(m.ae2ed_ms, 0.001),
-            _fmt(m.ada),
+            fmt(m.pdr),
+            fmt(m.ae2ed_ms, 0.001),
+            fmt(m.ada),
             _per_attacker(m.frt_ms),
             _per_attacker(m.block_ms),
             str(m.dio_sent),
@@ -279,17 +273,17 @@ def aggregate_csv_row(
         [
             label,
             str(len(runs)),
-            _fmt(pdr.mean),
-            _fmt(pdr.ci95),
-            _fmt(delay.mean, 0.001),
-            _fmt(delay.ci95, 0.001),
-            _fmt(ada.mean),
-            _fmt(ada.ci95),
-            _fmt(frt.mean, 0.001),
-            _fmt(frt.ci95, 0.001),
+            fmt(pdr.mean),
+            fmt(pdr.ci95),
+            fmt(delay.mean, 0.001),
+            fmt(delay.ci95, 0.001),
+            fmt(ada.mean),
+            fmt(ada.ci95),
+            fmt(frt.mean, 0.001),
+            fmt(frt.ci95, 0.001),
             str(detected),
             str(slots),
-            _fmt(false_mean.mean),
+            fmt(false_mean.mean),
             str(sum(m.permanent_blocks_legit for m in runs)),
         ]
     )

@@ -153,9 +153,8 @@ class Mobility:
             self.config.speed_max - self.config.speed_min
         )
 
-    def move(self, positions: dict[int, list[float]], dt_ms: int, now: int) -> bool:
-        """Advance every mobile node by dt; returns True if anything moved."""
-        moved = False
+    def move(self, positions: dict[int, list[float]], dt_ms: int, now: int) -> None:
+        """Advance every mobile node by dt."""
         for node_id in self.mobile_ids:
             if self._pause_until.get(node_id, 0) > now:
                 continue
@@ -174,5 +173,3 @@ class Mobility:
             else:
                 pos[0] += dx / dist * step
                 pos[1] += dy / dist * step
-            moved = True
-        return moved

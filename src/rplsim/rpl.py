@@ -27,7 +27,6 @@ RANK_RESET_THRESHOLD = 256  # advertise-worthy rank move
 ETX_INIT = 1.0
 ETX_ALPHA = 0.2  # EWMA weight of the newest link sample
 ETX_FAIL_SAMPLE = 4.0
-ETX_DROP_THRESHOLD = 6.0  # beyond this the link is considered dead
 
 
 class Role(enum.Enum):
@@ -47,7 +46,6 @@ class DioMessage:
     dodag_id: int
     version: int
     rank: int
-    instance_id: int = 0
 
 
 @dataclass
@@ -95,7 +93,6 @@ class Candidate:
     version: int
     etx: float = ETX_INIT
     confirmed: bool = False
-    last_dio_ms: int = 0
 
     def rank_too_deep(self, own_rank: int | None) -> bool:
         return own_rank is not None and self.advertised_rank >= own_rank
@@ -168,8 +165,6 @@ def eligible_candidates(node: NodeState) -> list[tuple[int, int, float]]:
     for cand in node.candidates.values():
         if not cand.confirmed or cand.version != node.version:
             continue
-        if cand.etx > ETX_DROP_THRESHOLD:
-            continue
         if node.joined and node.preferred_parent != cand.addr:
             # max_depth rule: never adopt a parent advertising >= own rank
             if cand.rank_too_deep(node.rank):
@@ -231,17 +226,11 @@ def handle_dio(node: NodeState, dio: DioMessage, now: int) -> list[tuple]:
 
     cand = node.candidates.get(dio.src)
     if cand is None:
-        cand = Candidate(
-            addr=dio.src,
-            advertised_rank=dio.rank,
-            version=dio.version,
-            last_dio_ms=now,
-        )
+        cand = Candidate(addr=dio.src, advertised_rank=dio.rank, version=dio.version)
         node.candidates[dio.src] = cand
     else:
         cand.advertised_rank = dio.rank
         cand.version = dio.version
-        cand.last_dio_ms = now
 
     if node.role is Role.ROOT:
         node.trickle.counter += 1
@@ -297,11 +286,7 @@ def note_link_outcome(
         return []
     sample = float(attempts) if delivered else ETX_FAIL_SAMPLE
     cand.etx = (1.0 - ETX_ALPHA) * cand.etx + ETX_ALPHA * sample
-    actions: list[tuple] = []
-    if cand.etx > ETX_DROP_THRESHOLD:
-        cand.confirmed = False  # must re-probe before reuse
-    elif not delivered:
-        actions.append(("probe", neighbor))
+    actions: list[tuple] = [] if delivered else [("probe", neighbor)]
     return actions + select_parent(node)
 
 
@@ -315,5 +300,4 @@ class DataPacket:
     origin: int
     seq: int
     created_ms: int
-    size_bytes: int = 30
     path: list[int] = field(default_factory=list)

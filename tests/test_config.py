@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
+from rplsim.attack import CapturePolicy
 from rplsim.config import (
     BatchConfig,
     ConfigError,
@@ -11,6 +14,7 @@ from rplsim.config import (
     load_batch,
     make_variant,
 )
+from rplsim.ids import IdsConfig
 from rplsim.rpl import ObjectiveMode
 
 FULL_CONFIG = """
@@ -22,7 +26,6 @@ attackers = 3
 topology = random
 objective = of0
 data_interval_s = 30
-data_size_bytes = 64
 replications = 3
 modes = baseline cosec
 mobility_modes = static
@@ -56,6 +59,49 @@ check_period_s = 15
 sigma_margin_ms = 5000
 min_gap_mode = true
 """
+
+POSITIONS = " ".join(f"{i}:{i}.5,{20 - i}" for i in range(21))
+
+# (section, key, value, where it lands, parsed value): every INI key once,
+# each set to a value that differs from its default
+EVERY_KEY = [
+    ("scenario", "name", "other", "base.name", "other"),
+    ("scenario", "duration_s", "12.5", "base.duration_ms", 12_500),
+    ("scenario", "sensors", "9", "base.n_sensors", 9),
+    ("scenario", "attackers", "2", "base.n_attackers", 2),
+    ("scenario", "topology", "explicit", "base.topology", "explicit"),
+    ("scenario", "positions", "0:1,2 1:3.5,4", "base.positions", ((0, 1.0, 2.0), (1, 3.5, 4.0))),
+    ("scenario", "objective", "of0", "base.objective", ObjectiveMode.OF0),
+    ("scenario", "data_interval_s", "7.5", "base.data_interval_ms", 7_500),
+    ("scenario", "replications", "3", "seeds", (1, 2, 3)),
+    ("scenario", "seeds", "5 7", "seeds", (5, 7)),
+    ("scenario", "modes", "attack", "modes", ("attack",)),
+    ("scenario", "mobility_modes", "mobile", "mobility_modes", ("mobile",)),
+    ("scenario", "replay_intervals_s", "0.5 2.5", "replay_intervals_ms", (500, 2_500)),
+    ("radio", "tx_range_m", "65", "base.radio.tx_range_m", 65.0),
+    ("radio", "base_loss", "0.2", "base.radio.base_loss", 0.2),
+    ("radio", "congestion", "none", "base.radio.congestion_model", "none"),
+    ("radio", "airtime_ms", "12", "base.radio.airtime_per_msg_ms", 12),
+    ("radio", "capacity_per_window", "8", "base.radio.capacity_per_window", 8),
+    ("radio", "window_ms", "50", "base.radio.window_ms", 50),
+    ("radio", "strobe_ms", "80", "base.radio.strobe_airtime_ms", 80),
+    ("mobility", "speed_min", "0.5", "base.mobility.speed_min", 0.5),
+    ("mobility", "speed_max", "3", "base.mobility.speed_max", 3.0),
+    ("mobility", "area_m", "100 80", "base.mobility.area", (100.0, 80.0)),
+    ("mobility", "pause_s", "2.5", "base.mobility.pause_ms", 2_500),
+    ("attacker", "attack_start_s", "45", "base.attacker.attack_start_ms", 45_000),
+    ("attacker", "capture", "strongest", "base.attacker.capture_policy", CapturePolicy.STRONGEST),
+    ("ids", "safe_interval_ms", "400", "base.ids.safe_interval_ms", 400),
+    ("ids", "block_threshold", "3", "base.ids.block_threshold", 3),
+    ("ids", "delta", "1.5", "base.ids.fence_delta", 1.5),
+    ("ids", "node_max", "40", "base.ids.node_max", 40),
+    ("ids", "activation_s", "60", "base.ids.activation_delay_ms", 60_000),
+    ("ids", "check_period_s", "15", "base.ids.check_period_ms", 15_000),
+    ("ids", "sigma_margin_ms", "5000", "base.ids.sigma_margin_ms", 5_000),
+    ("ids", "min_gap_mode", "true", "base.ids.min_gap_mode", True),
+]
+# keys that are only valid together with another one
+CONTEXT = {"topology": f"positions = {POSITIONS}\n"}
 
 
 def write_cfg(tmp_path, text, name="demo.cfg"):
@@ -95,6 +141,43 @@ class TestLoadBatch:
         assert base.ids.check_period_ms == 30_000
         assert base.ids.node_max == 21
         assert batch.seeds == tuple(range(1, 11))
+
+    def test_empty_file_gives_the_dataclass_defaults(self, tmp_path):
+        batch = load_batch(write_cfg(tmp_path, ""))
+        # the one derived default: the IDS tables hold every node
+        assert batch == BatchConfig(base=ScenarioConfig(ids=IdsConfig(node_max=21)))
+
+    @pytest.mark.parametrize(
+        "section,key,value,where,expected", EVERY_KEY, ids=[row[1] for row in EVERY_KEY]
+    )
+    def test_every_key_lands_in_its_field(self, tmp_path, section, key, value, where, expected):
+        text = f"[{section}]\n{key} = {value}\n{CONTEXT.get(key, '')}"
+        get = operator.attrgetter(where)
+        assert get(load_batch(write_cfg(tmp_path, text))) == expected
+        assert get(load_batch(write_cfg(tmp_path, "", "empty.cfg"))) != expected
+
+    def test_every_key_is_covered(self):
+        from rplsim.config import _FORMAT
+
+        listed = {(section, key) for section, key, *_ in EVERY_KEY}
+        assert listed == {(section, key) for section in _FORMAT for key in _FORMAT[section]}
+        assert len(listed) == 34
+
+    def test_seconds_round_to_the_nearest_millisecond(self, tmp_path):
+        text = "[scenario]\nduration_s = 32.3\nmodes = attack\nreplay_intervals_s = 2.01\n"
+        batch = load_batch(write_cfg(tmp_path, text))
+        assert batch.base.duration_ms == 32_300
+        assert batch.replay_intervals_ms == (2_010,)
+        assert [label for label, _, _ in batch.variants()][0] == "static-attack-r2.01s"
+        # every whole-millisecond value from 0.001 s to 100 s survives
+        every = range(1, 100_001)
+        text = "[scenario]\nreplay_intervals_s = " + " ".join(str(ms / 1000) for ms in every)
+        batch = load_batch(write_cfg(tmp_path, text, "every.cfg"))
+        assert batch.replay_intervals_ms == tuple(every)
+
+    def test_packet_size_key_is_gone(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key: data_size_bytes"):
+            load_batch(write_cfg(tmp_path, "[scenario]\ndata_size_bytes = 30\n"))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -278,7 +278,7 @@ class TestInRangeLists:
         seen = [sim._in_range]
         assert sim._in_range == self.brute_force(sim)
         for _ in range(50):
-            sim.now += sc.tuning.mobility_step_ms
+            sim.now += engine.MOBILITY_STEP_MS
             sim._on_mobility_step()
             assert sim._in_range == self.brute_force(sim)
             seen.append(sim._in_range)
