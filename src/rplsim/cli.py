@@ -4,9 +4,12 @@
 then writes per-run rows (runs.csv), per-variant aggregates with 95%
 confidence half-widths (summary.csv), and plain columnar plot data for the
 four standard figures (PDR and delay vs replay interval, detection accuracy,
-per-attacker response time).  Nothing is written until every run has
-finished, so a failed batch leaves no partial results.  Output is
-byte-stable for a given config and seed list.
+per-attacker response time).  Results are written only once every run has
+finished, so a run that fails leaves ``--out`` as it was.  With ``--trace``
+each worker writes its run's trace into a staging directory in ``--out``
+and returns only the metrics, so a traced batch's memory does not grow with
+its runs; once every run has succeeded the staging directory replaces
+``traces/``.  Output is byte-stable for a given config and seed list.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import logging
 import multiprocessing
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -26,9 +30,11 @@ log = logging.getLogger("rplsim")
 
 
 def _run_one(job):
-    label, scenario, seed, keep_trace = job
+    label, scenario, seed, trace_dir = job
     run_metrics, trace = engine.run(scenario, seed)
-    return label, seed, run_metrics, trace if keep_trace else None
+    if trace_dir is not None:
+        write_trace(trace, os.path.join(trace_dir, f"{label}-s{seed}.tsv"))
+    return label, seed, run_metrics
 
 
 def run_batch(
@@ -54,29 +60,38 @@ def run_batch(
         batch = replace(batch, mobility_modes=(mobility,))
 
     variants = list(batch.variants())
+    made_out_dir = not os.path.isdir(out_dir)
+    staging = os.path.join(out_dir, ".traces-staging") if keep_traces else None
+    if staging:
+        shutil.rmtree(staging, ignore_errors=True)  # left by a batch that was killed
+    os.makedirs(staging or out_dir, exist_ok=True)
     jobs = [
         (
             label,
             replace(scenario, trace_positions=True) if keep_traces else scenario,
             seed,
-            keep_traces,
+            staging,
         )
         for label, scenario, _ in variants
         for seed in batch.seeds
     ]
     log.info("running %d jobs (%d variants x %d seeds)", len(jobs), len(variants), len(batch.seeds))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            raw = pool.map(_run_one, jobs)
-    else:
-        raw = [_run_one(job) for job in jobs]
-    run_metrics = {(label, seed): m for label, seed, m, _ in raw}
+    try:
+        if workers > 1:
+            with multiprocessing.Pool(workers) as pool:
+                raw = pool.map(_run_one, jobs)
+        else:
+            raw = [_run_one(job) for job in jobs]
+    except BaseException:
+        if made_out_dir or staging:
+            shutil.rmtree(out_dir if made_out_dir else staging)
+        raise
+    run_metrics = {(label, seed): m for label, seed, m in raw}
     by_label = {
         label: [run_metrics[(label, seed)] for seed in batch.seeds]
         for label, _, _ in variants
     }
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
     runs_path = os.path.join(out_dir, "runs.csv")
@@ -100,12 +115,10 @@ def run_batch(
 
     paths.update(_write_plot_data(out_dir, batch, by_label))
 
-    if keep_traces:
+    if staging:
         trace_dir = os.path.join(out_dir, "traces")
-        os.makedirs(trace_dir, exist_ok=True)
-        traces = {(label, seed): trace for label, seed, _, trace in raw}
-        for (label, seed), trace in sorted(traces.items()):
-            write_trace(trace, os.path.join(trace_dir, f"{label}-s{seed}.tsv"))
+        shutil.rmtree(trace_dir, ignore_errors=True)
+        os.replace(staging, trace_dir)
         paths["traces"] = trace_dir
     return paths
 

@@ -91,12 +91,12 @@ class BatchConfig:
     seeds: tuple[int, ...] = tuple(range(1, 11))
 
     def __post_init__(self) -> None:
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ConfigError("modes must be among %s" % (MODES,))
-        for mob in self.mobility_modes:
-            if mob not in MOBILITY_MODES:
-                raise ConfigError("mobility_modes must be among %s" % (MOBILITY_MODES,))
+        for axis, allowed in (("modes", MODES), ("mobility_modes", MOBILITY_MODES)):
+            values = getattr(self, axis)
+            if not set(values) <= set(allowed) or len(set(values)) != len(values):
+                raise ConfigError(f"{axis} must be distinct values among {allowed}")
+        if self.base.n_attackers == 0 and set(self.modes) - {"baseline"}:
+            raise ConfigError("attack and cosec modes need attackers > 0")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):

@@ -15,8 +15,8 @@ every mobility step (the only times positions change), so delivering a frame
 computes no distances.
 
 Protocol timings are the fixed module constants below, not configuration:
-probe strobes and cooldown, data retries and backoff, forwarding and DAO
-delays, and the mobility and detector timer periods.
+unicast airtime, probe strobes and cooldown, data retries and backoff,
+forwarding and DAO delays, and the mobility and detector timer periods.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .ids import IdsState, Verdict
 from .radio import Mobility, Radio
 from .rpl import DataPacket, DioMessage, NodeState, Role
 
+UNICAST_AIRTIME_MS = 30  # duty-cycled unicast, strobe until the ack
 PROBE_ATTEMPTS = 5
 PROBE_COOLDOWN_MS = 1000
 DATA_RETRIES = 1  # retransmissions per hop attempt chain
@@ -247,7 +248,7 @@ class Simulation:
         if frame.kind == "probe":
             # probing an unresponsive candidate strobes its whole budget
             return self.scenario.radio.strobe_airtime_ms
-        return self.scenario.radio.unicast_airtime_ms
+        return UNICAST_AIRTIME_MS
 
     def _transmit(self, node: NodeState, frame: Frame, not_before: int) -> None:
         """Queue one frame on the node's transceiver (FIFO in call order)."""

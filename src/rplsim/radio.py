@@ -27,7 +27,6 @@ class RadioConfig:
     airtime_per_msg_ms: int = 10
     capacity_per_window: int = 10
     window_ms: int = 100
-    unicast_airtime_ms: int = 30  # duty-cycled unicast, strobe until the ack
     strobe_airtime_ms: int = 100  # occupancy of an unacknowledged unicast try
 
     def __post_init__(self) -> None:

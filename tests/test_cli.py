@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from rplsim import cli, metrics
+from rplsim import cli, engine, metrics
+from rplsim.config import load_batch
+from rplsim.trace import read_trace
 
 TINY = """
 [scenario]
@@ -88,6 +90,50 @@ class TestRunBatch:
         files = os.listdir(paths["traces"])
         assert files == ["static-baseline-s1.tsv"]
 
+    def test_failed_run_leaves_out_dir_as_it_was(self, tiny_cfg, tmp_path, monkeypatch):
+        real_run = engine.run
+
+        def run_failing_last(scenario, seed):
+            # the last job: every other run has already staged its trace
+            if scenario.name == "tiny-mobile-cosec" and seed == 2:
+                raise RuntimeError("run failed")
+            return real_run(scenario, seed)
+
+        monkeypatch.setattr(engine, "run", run_failing_last)
+        absent = tmp_path / "absent"
+        with pytest.raises(RuntimeError, match="run failed"):
+            cli.run_batch(tiny_cfg, str(absent), keep_traces=True, workers=1)
+        assert not absent.exists()
+        present = tmp_path / "present"
+        present.mkdir()
+        (present / "notes.txt").write_text("kept")
+        with pytest.raises(RuntimeError, match="run failed"):
+            cli.run_batch(tiny_cfg, str(present), keep_traces=True, workers=1)
+        assert os.listdir(present) == ["notes.txt"]
+        assert (present / "notes.txt").read_text() == "kept"
+
+    def test_second_trace_batch_replaces_the_traces(self, tiny_cfg, tmp_path):
+        out = tmp_path / "t"
+        for seed in (1, 2):
+            paths = cli.run_batch(
+                tiny_cfg, str(out), seeds=(seed,), mode="baseline",
+                mobility="static", keep_traces=True,
+            )
+        assert os.listdir(paths["traces"]) == ["static-baseline-s2.tsv"]
+        assert sorted(os.listdir(out)) == sorted(
+            ["runs.csv", "summary.csv", "traces"]
+            + [f"plot_{figure}.dat" for figure in ("pdr", "ae2ed", "ada", "frt")]
+        )
+
+    def test_run_one_writes_the_trace_and_returns_only_metrics(self, tiny_cfg, tmp_path):
+        label, scenario, _ = next(load_batch(tiny_cfg).variants())
+        run_metrics, trace = engine.run(scenario, 3)
+        assert cli._run_one((label, scenario, 3, None)) == (label, 3, run_metrics)
+        staging = tmp_path / "staging"
+        staging.mkdir()
+        assert cli._run_one((label, scenario, 3, str(staging))) == (label, 3, run_metrics)
+        assert os.listdir(staging) == [f"{label}-s3.tsv"]
+        assert read_trace(str(staging / f"{label}-s3.tsv")) == trace
 
     def test_fractional_intervals_keep_their_own_results(self, tmp_path):
         cfg = tmp_path / "frac.cfg"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import os
 
 import pytest
 
@@ -16,6 +17,8 @@ from rplsim.config import (
 )
 from rplsim.ids import IdsConfig
 from rplsim.rpl import ObjectiveMode
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 FULL_CONFIG = """
 [scenario]
@@ -259,6 +262,36 @@ class TestVariants:
             BatchConfig(base=ScenarioConfig(name="g"), seeds=(1, 2, 1))
         with pytest.raises(ConfigError, match="seeds"):
             load_batch(write_cfg(tmp_path, "[scenario]\nseeds = 3 4 3\n"))
+
+    def test_repeated_modes_rejected(self, tmp_path):
+        # each repeat would run every job of the mode again under one label
+        with pytest.raises(ConfigError, match="^modes must be distinct"):
+            BatchConfig(base=ScenarioConfig(name="g"), modes=("attack", "attack"))
+        with pytest.raises(ConfigError, match="^mobility_modes must be distinct"):
+            BatchConfig(base=ScenarioConfig(name="g"), mobility_modes=("static", "static"))
+        with pytest.raises(ConfigError, match="^modes must be distinct"):
+            load_batch(write_cfg(tmp_path, "[scenario]\nmodes = baseline cosec baseline\n"))
+
+    def test_unknown_modes_rejected(self):
+        with pytest.raises(ConfigError, match="^modes must be distinct values among"):
+            BatchConfig(base=ScenarioConfig(name="g"), modes=("baseline", "stealth"))
+        with pytest.raises(ConfigError, match="^mobility_modes must be distinct values among"):
+            BatchConfig(base=ScenarioConfig(name="g"), mobility_modes=("flying",))
+
+    @pytest.mark.parametrize("mode", ["attack", "cosec"])
+    def test_attack_modes_need_attackers(self, tmp_path, mode):
+        # without attackers these rows would be copies of the baseline
+        with pytest.raises(ConfigError, match="need attackers"):
+            BatchConfig(base=ScenarioConfig(name="g", n_attackers=0), modes=("baseline", mode))
+        text = f"[scenario]\nattackers = 0\nmodes = baseline {mode}\n"
+        with pytest.raises(ConfigError, match="need attackers"):
+            load_batch(write_cfg(tmp_path, text))
+        batch = BatchConfig(base=ScenarioConfig(name="g", n_attackers=0), modes=("baseline",))
+        assert [label for label, _, _ in batch.variants()] == ["static-baseline", "mobile-baseline"]
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_shipped_configs_load(self, name):
+        load_batch(os.path.join(CONFIGS, name))
 
     def test_make_variant_semantics(self):
         base = ScenarioConfig(name="v")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -285,3 +286,12 @@ class TestInRangeLists:
         # the topology really changed and some pairs are out of range
         assert any(a != b for a, b in zip(seen, seen[1:]))
         assert any(len(lst) < sc.n_nodes - 1 for lst in seen[-1])
+
+
+class TestAirtime:
+    def test_unicast_airtime_is_an_engine_constant(self):
+        assert "unicast_airtime_ms" not in {f.name for f in fields(RadioConfig)}
+        sim = engine.Simulation(small_base(), 1)
+        assert sim._airtime(engine.Frame("data", 1, 0)) == engine.UNICAST_AIRTIME_MS == 30
+        assert sim._airtime(engine.Frame("dio", 1, None)) == sim.scenario.radio.airtime_per_msg_ms
+        assert sim._airtime(engine.Frame("probe", 1, 0)) == sim.scenario.radio.strobe_airtime_ms
