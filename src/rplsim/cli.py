@@ -5,7 +5,8 @@ then writes per-run rows (runs.csv), per-variant aggregates with 95%
 confidence half-widths (summary.csv), and plain columnar plot data for the
 four standard figures (PDR and delay vs replay interval, detection accuracy,
 per-attacker response time).  Results are written only once every run has
-finished, so a run that fails leaves ``--out`` as it was.  With ``--trace``
+finished; a run that fails leaves ``--out`` as it was, and so does a failure
+while writing the results into a new ``--out``.  With ``--trace``
 each worker writes its run's trace into a staging directory in ``--out``
 and returns only the metrics, so a traced batch's memory does not grow with
 its runs; once every run has succeeded the staging directory replaces
@@ -82,44 +83,45 @@ def run_batch(
                 raw = pool.map(_run_one, jobs)
         else:
             raw = [_run_one(job) for job in jobs]
+        run_metrics = {(label, seed): m for label, seed, m in raw}
+        by_label = {
+            label: [run_metrics[(label, seed)] for seed in batch.seeds]
+            for label, _, _ in variants
+        }
+
+        paths = {}
+
+        runs_path = os.path.join(out_dir, "runs.csv")
+        with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(metrics.RUN_CSV_HEADER + "\n")
+            for label, _, _ in variants:
+                for seed, m in zip(batch.seeds, by_label[label]):
+                    fh.write(metrics.run_csv_row(label, seed, m) + "\n")
+        paths["runs"] = runs_path
+
+        summary_path = os.path.join(out_dir, "summary.csv")
+        duration = batch.base.duration_ms
+        attack_start = batch.base.attacker.attack_start_ms
+        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(metrics.AGGREGATE_CSV_HEADER + "\n")
+            for label, _, _ in variants:
+                fh.write(
+                    metrics.aggregate_csv_row(label, by_label[label], duration, attack_start)
+                    + "\n"
+                )
+        paths["summary"] = summary_path
+
+        paths.update(_write_plot_data(out_dir, batch, by_label))
+
+        if staging:
+            trace_dir = os.path.join(out_dir, "traces")
+            shutil.rmtree(trace_dir, ignore_errors=True)
+            os.replace(staging, trace_dir)
+            paths["traces"] = trace_dir
     except BaseException:
         if made_out_dir or staging:
             shutil.rmtree(out_dir if made_out_dir else staging)
         raise
-    run_metrics = {(label, seed): m for label, seed, m in raw}
-    by_label = {
-        label: [run_metrics[(label, seed)] for seed in batch.seeds]
-        for label, _, _ in variants
-    }
-
-    paths = {}
-
-    runs_path = os.path.join(out_dir, "runs.csv")
-    with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(metrics.RUN_CSV_HEADER + "\n")
-        for label, _, _ in variants:
-            for seed, m in zip(batch.seeds, by_label[label]):
-                fh.write(metrics.run_csv_row(label, seed, m) + "\n")
-    paths["runs"] = runs_path
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    duration = batch.base.duration_ms
-    attack_start = batch.base.attacker.attack_start_ms
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(metrics.AGGREGATE_CSV_HEADER + "\n")
-        for label, _, _ in variants:
-            fh.write(
-                metrics.aggregate_csv_row(label, by_label[label], duration, attack_start) + "\n"
-            )
-    paths["summary"] = summary_path
-
-    paths.update(_write_plot_data(out_dir, batch, by_label))
-
-    if staging:
-        trace_dir = os.path.join(out_dir, "traces")
-        shutil.rmtree(trace_dir, ignore_errors=True)
-        os.replace(staging, trace_dir)
-        paths["traces"] = trace_dir
     return paths
 
 

@@ -9,15 +9,12 @@ a line tracer to certify full coverage of the ids module.
 from __future__ import annotations
 
 from rplsim.ids import (
-    BlacklistEntry,
     IdsConfig,
     IdsState,
     NeighborEntry,
     Verdict,
     check_malicious,
-    init_tables,
     process_dio,
-    remove_neighbor_entry,
     snapshot,
     tick,
 )
@@ -30,20 +27,21 @@ def fresh_state(**overrides) -> IdsState:
     return IdsState(IdsConfig(**overrides))
 
 
-def scenario_lazy_init_insert_update():
-    """First reception lazily initializes; insert then update one sender."""
+def scenario_insert_update():
+    """Insert then update one sender."""
     state = fresh_state(node_max=4)
-    assert not state.initialized
+    assert snapshot(state) == {
+        "neighbors": [],
+        "blacklist": [],
+        "active": False,
+        "overflow_count": 0,
+    }
 
     v = process_dio(state, 7, 1000)
     assert v.verdict is Verdict.ACCEPT and not v.overflow
-    assert state.initialized
     assert snapshot(state) == {
         "neighbors": [[7, 0, 1000, 1]],
         "blacklist": [],
-        "t_nodes": 1,
-        "n_blacklist": 0,
-        "initialized": True,
         "active": False,
         "overflow_count": 0,
     }
@@ -51,30 +49,15 @@ def scenario_lazy_init_insert_update():
     v = process_dio(state, 7, 1200)
     assert v.verdict is Verdict.ACCEPT
     assert snapshot(state)["neighbors"] == [[7, 1000, 1200, 2]]
-    assert state.neighbors[0].min_gap_ms == 200
-    assert state.t_nodes == 1
-
-
-def scenario_reinit_idempotent():
-    """Re-initializing a populated state matches a fresh state."""
-    state = fresh_state(node_max=4)
-    for t, sender in enumerate([1, 2, 1, 3]):
-        process_dio(state, sender, 1000 * (t + 1))
-    tick(state, 200_000)
-    init_tables(state)
-
-    reference = fresh_state(node_max=4)
-    init_tables(reference)
-    assert snapshot(state) == snapshot(reference)
-    assert process_dio(state, 99, 5).verdict is Verdict.ACCEPT
+    assert state.neighbors[7].min_gap_ms == 200
+    assert len(state.neighbors) == 1
 
 
 def scenario_early_detection_no_mutation():
     """A permanently blocked sender is rejected before any table touch."""
     state = fresh_state(node_max=4)
     process_dio(state, 3, 500)
-    state.blacklist[0] = BlacklistEntry(addr=3, detection_count=5, blocked=True)
-    state.n_blacklist = 1
+    state.blacklist[3] = 5
 
     before = snapshot(state)
     v = process_dio(state, 3, 900)
@@ -83,8 +66,7 @@ def scenario_early_detection_no_mutation():
     assert snapshot(state) == before
 
     # merely suspected senders are still accepted and tracked
-    state.blacklist[0].blocked = False
-    state.blacklist[0].detection_count = 2
+    state.blacklist[3] = 2
     v = process_dio(state, 3, 900)
     assert v.verdict is Verdict.ACCEPT
     assert snapshot(state)["neighbors"] == [[3, 500, 900, 2]]
@@ -100,9 +82,6 @@ def scenario_table_overflow():
     assert snapshot(state) == {
         "neighbors": [[11, 0, 100, 1], [22, 0, 200, 1]],
         "blacklist": [],
-        "t_nodes": 2,
-        "n_blacklist": 0,
-        "initialized": True,
         "active": False,
         "overflow_count": 1,
     }
@@ -126,17 +105,12 @@ def scenario_check_clean_sample():
 def scenario_check_empty_and_single():
     """Empty table is a no-op; a lone neighbor can never exceed its fence."""
     state = fresh_state(node_max=4)
-    init_tables(state)
     assert check_malicious(state, 1000) == ([], [])
-
-    lazy = fresh_state(node_max=4)
-    assert check_malicious(lazy, 1000) == ([], [])  # lazy init path
-    assert lazy.initialized
 
     for k in range(500):
         process_dio(state, 6, 1000 + k * 100)
     assert check_malicious(state, 60_000) == ([], [])
-    assert snapshot(state)["n_blacklist"] == 0
+    assert state.blacklist == {}
 
 
 def scenario_gap_guard():
@@ -181,8 +155,7 @@ def scenario_min_gap_refinement():
 
     # the windowed minimum resets after every check, so a silent-but-still-
     # outlying neighbor has no gap evidence at the next check
-    assert hit.neighbors[5].addr == 9
-    assert hit.neighbors[5].min_gap_ms is None
+    assert hit.neighbors[9].min_gap_ms is None
     assert check_malicious(hit, 2_100_000) == ([], [])
 
     # literal 500 ms reproduction mode: margin collapsed to the raw sigma
@@ -224,9 +197,6 @@ def scenario_escalation_to_block():
             for i, c in enumerate(ATTACK_COUNTS)
         ],
         "blacklist": [[attacker, block_at, True]],
-        "t_nodes": len(ATTACK_COUNTS),
-        "n_blacklist": 1,
-        "initialized": True,
         "active": False,
         "overflow_count": 0,
     }
@@ -234,21 +204,16 @@ def scenario_escalation_to_block():
     # monotone blocking from now on
     for dt in (1, 2, 3):
         assert process_dio(state, attacker, t + dt).verdict is Verdict.DISCARD_BLOCKED
-    assert snapshot(state)["t_nodes"] == len(ATTACK_COUNTS)
+    assert len(state.neighbors) == len(ATTACK_COUNTS)
 
 
 def scenario_blocked_record_guard():
     """A record already at the threshold is never incremented again."""
     state = fresh_state(node_max=8)
-    init_tables(state)
-    state.neighbors[0] = NeighborEntry(addr=9, t_previous=1000, t_recent=1200, dio_count=500)
+    state.neighbors[9] = NeighborEntry(t_previous=1000, t_recent=1200, dio_count=500)
     for i, count in enumerate([2, 3, 3, 4, 4]):
-        state.neighbors[i + 1] = NeighborEntry(
-            addr=i + 1, t_previous=0, t_recent=900, dio_count=count
-        )
-    state.t_nodes = 6
-    state.blacklist[0] = BlacklistEntry(addr=9, detection_count=5, blocked=True)
-    state.n_blacklist = 1
+        state.neighbors[i + 1] = NeighborEntry(t_previous=0, t_recent=900, dio_count=count)
+    state.blacklist[9] = 5
 
     # counts [2,3,3,4,4,500]: fence 5, so 9 is flagged with a 200 ms gap,
     # but its record is already at the threshold and stays untouched
@@ -263,38 +228,35 @@ def scenario_blacklist_overflow():
     t = 1_000_000
     for k in range(51):
         process_dio(state, 9, t + k * 200)
-    for i in range(6):
-        state.blacklist[i] = BlacklistEntry(addr=100 + i, detection_count=1, blocked=False)
-    state.n_blacklist = 6
+    state.blacklist = {100 + i: 1 for i in range(6)}
 
     assert check_malicious(state, 2_000_000) == ([], [])
     assert state.overflow_count == 1
-    assert snapshot(state)["n_blacklist"] == 6
+    assert len(state.blacklist) == 6
 
 
 def scenario_remove_entry():
-    """Slot removal clears bookkeeping and allows fresh reuse."""
-    state = fresh_state(node_max=3)
-    process_dio(state, 4, 1000)
-    process_dio(state, 5, 2000)
-    remove_neighbor_entry(state, 0)
-    assert snapshot(state)["neighbors"] == [[5, 0, 2000, 1]]
-    assert state.t_nodes == 1
+    """Blocking a sender frees its place in a full neighbor table."""
+    # six is the smallest table whose top count can clear a delta-1 fence
+    state = fresh_state(node_max=6, block_threshold=2)
+    _populate(state, FLAT_COUNTS)
+    attacker, newcomer = 9, 10
+    t = 1_000_000
+    for k in range(51):
+        process_dio(state, attacker, t + k * 200)
+    t += 50 * 200
+    assert process_dio(state, newcomer, t + 50).overflow  # full: not tracked
 
-    remove_neighbor_entry(state, 0)  # already empty: no count change
-    assert state.t_nodes == 1
+    assert check_malicious(state, t + 100) == ([attacker], [])
+    process_dio(state, attacker, t + 200)
+    assert check_malicious(state, t + 200) == ([], [attacker])
+    assert sorted(state.neighbors) == [1, 2, 3, 4, 5]
+    assert snapshot(state)["blacklist"] == [[attacker, 2, True]]
 
-    try:
-        remove_neighbor_entry(state, 3)
-    except IndexError as err:
-        assert "bad slot" in str(err)
-    else:
-        raise AssertionError("expected IndexError")
-
-    v = process_dio(state, 4, 3000)
-    assert v.verdict is Verdict.ACCEPT
-    assert snapshot(state)["neighbors"] == [[4, 0, 3000, 1], [5, 0, 2000, 1]]
-    assert state.t_nodes == 2
+    v = process_dio(state, newcomer, t + 300)
+    assert v.verdict is Verdict.ACCEPT and not v.overflow
+    assert snapshot(state)["neighbors"][-1] == [newcomer, 0, t + 300, 1]
+    assert state.overflow_count == 1
 
 
 def scenario_tick_gating():
@@ -319,6 +281,7 @@ def scenario_config_validation():
     for bad in (
         dict(safe_interval_ms=0),
         dict(block_threshold=0),
+        dict(block_threshold=1),
         dict(fence_delta=0.0),
         dict(node_max=0),
     ):
@@ -335,8 +298,7 @@ def scenario_config_validation():
 
 SCENARIOS = [
     scenario_config_validation,
-    scenario_lazy_init_insert_update,
-    scenario_reinit_idempotent,
+    scenario_insert_update,
     scenario_early_detection_no_mutation,
     scenario_table_overflow,
     scenario_check_clean_sample,

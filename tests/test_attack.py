@@ -115,6 +115,6 @@ class TestEndToEnd:
         sim = engine.Simulation(chain_scenario(150_000), seed=3)
         sim.run()
         victim = sim.nodes[1]
-        entry = next(e for e in victim.ids.neighbors if e.addr == 2)
+        entry = victim.ids.neighbors[2]
         assert entry.t_recent - entry.t_previous == 1000
         assert entry.dio_count >= 55  # lossless: every replay is counted

@@ -112,6 +112,22 @@ class TestRunBatch:
         assert os.listdir(present) == ["notes.txt"]
         assert (present / "notes.txt").read_text() == "kept"
 
+    def test_failed_write_cleans_up_like_a_failed_run(self, tiny_cfg, tmp_path, monkeypatch):
+        def aggregate_row_failing(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(metrics, "aggregate_csv_row", aggregate_row_failing)
+        one_traced_run = dict(seeds=(1,), mode="baseline", mobility="static", keep_traces=True)
+        absent = tmp_path / "absent"
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_batch(tiny_cfg, str(absent), **one_traced_run)
+        assert not absent.exists()
+        present = tmp_path / "present"
+        present.mkdir()
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_batch(tiny_cfg, str(present), **one_traced_run)
+        assert not (present / ".traces-staging").exists()
+
     def test_second_trace_batch_replaces_the_traces(self, tiny_cfg, tmp_path):
         out = tmp_path / "t"
         for seed in (1, 2):

@@ -198,6 +198,10 @@ class TestLoadBatch:
         with pytest.raises(ConfigError, match=r"\[radio\] tx_range_m"):
             load_batch(write_cfg(tmp_path, "[radio]\ntx_range_m = wide\n"))
 
+    def test_block_threshold_below_two_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="block_threshold must be >= 2"):
+            load_batch(write_cfg(tmp_path, "[ids]\nblock_threshold = 1\n"))
+
     def test_attackers_exceeding_sensors_rejected(self, tmp_path):
         text = "[scenario]\nsensors = 2\nattackers = 3\n"
         with pytest.raises(ConfigError, match="attackers must not exceed sensors"):

@@ -32,6 +32,9 @@ def test_config_validation():
         IdsConfig(safe_interval_ms=0)
     with pytest.raises(ValueError, match="block_threshold"):
         IdsConfig(block_threshold=0)
+    # the first detection only suspects, so a block takes at least two
+    with pytest.raises(ValueError, match="block_threshold must be >= 2"):
+        IdsConfig(block_threshold=1)
     with pytest.raises(ValueError, match="fence_delta"):
         IdsConfig(fence_delta=0)
     with pytest.raises(ValueError, match="node_max"):
@@ -74,21 +77,14 @@ class TestInvariants:
     def test_structural_invariants(self, events):
         state, _ = run_trace(events)
         cfg = state.config
-        live = state.live_neighbors()
-        assert state.t_nodes == len(live) <= cfg.node_max
-        addrs = [e.addr for _, e in live]
-        assert len(addrs) == len(set(addrs))
-        for _, entry in live:
+        assert len(state.neighbors) <= cfg.node_max
+        for addr, entry in state.neighbors.items():
             assert entry.t_previous <= entry.t_recent
             assert entry.dio_count >= 1
-        bl = state.blacklist[: state.n_blacklist]
-        bl_addrs = [e.addr for e in bl]
-        assert len(bl_addrs) == len(set(bl_addrs))
-        assert state.n_blacklist <= cfg.node_max
-        for entry in bl:
-            assert 0 <= entry.detection_count <= cfg.block_threshold
-            if entry.blocked:
-                assert entry.detection_count == cfg.block_threshold
+            assert not state.is_blocked(addr)  # a block drops the neighbor entry
+        assert len(state.blacklist) <= cfg.node_max
+        for count in state.blacklist.values():
+            assert 1 <= count <= cfg.block_threshold
 
     @given(trace_events)
     @settings(max_examples=100, deadline=None)
@@ -102,7 +98,7 @@ class TestInvariants:
     @settings(max_examples=100, deadline=None)
     def test_blocked_senders_stay_blocked(self, events):
         state, _ = run_trace(events)
-        blocked = [e.addr for e in state.blacklist[: state.n_blacklist] if e.blocked]
+        blocked = [addr for addr in state.blacklist if state.is_blocked(addr)]
         for addr in blocked:
             before = copy.deepcopy(state)
             verdict = process_dio(state, addr, 10_000_000)
@@ -125,12 +121,11 @@ class TestInvariants:
                 # evaluate the conditions on the table as the check saw it
                 probe = copy.deepcopy(pre)
                 process_dio_no_check(probe, sender, now)
-                live = probe.live_neighbors()
-                counts = [e.dio_count for _, e in live]
+                counts = [e.dio_count for e in probe.neighbors.values()]
                 from rplsim.outliers import compute_quartiles
 
                 fence = compute_quartiles(counts, probe.config.fence_delta).upper_limit
-                entry = next(e for _, e in live if e.addr == addr)
+                entry = probe.neighbors[addr]
                 assert entry.dio_count > fence
                 assert (
                     entry.t_recent - entry.t_previous
@@ -151,7 +146,7 @@ def test_single_neighbor_never_flagged():
     tick(state, 400_000)
     verdict = process_dio(state, 5, 400_001)
     assert verdict.newly_suspected == [] and verdict.newly_blocked == []
-    assert state.n_blacklist == 0
+    assert state.blacklist == {}
 
 
 def test_check_consumes_active_flag():
