@@ -4,12 +4,12 @@
 then writes per-run rows (runs.csv), per-variant aggregates with 95%
 confidence half-widths (summary.csv), and plain columnar plot data for the
 four standard figures (PDR and delay vs replay interval, detection accuracy,
-per-attacker response time).  Results are written only once every run has
-finished; a run that fails leaves ``--out`` as it was, and so does a failure
-while writing the results into a new ``--out``.  With ``--trace``
-each worker writes its run's trace into a staging directory in ``--out``
-and returns only the metrics, so a traced batch's memory does not grow with
-its runs; once every run has succeeded the staging directory replaces
+per-attacker response time).  Every result file is first written into a
+staging directory in ``--out`` and moved into place only once every run has
+finished and every file is written, so a run or a write that fails leaves
+``--out`` as it was.  With ``--trace`` each worker writes its run's trace
+into that staging directory and returns only the metrics, so a traced
+batch's memory does not grow with its runs; the staged traces replace
 ``traces/``.  Output is byte-stable for a given config and seed list.
 """
 
@@ -62,16 +62,16 @@ def run_batch(
 
     variants = list(batch.variants())
     made_out_dir = not os.path.isdir(out_dir)
-    staging = os.path.join(out_dir, ".traces-staging") if keep_traces else None
-    if staging:
-        shutil.rmtree(staging, ignore_errors=True)  # left by a batch that was killed
-    os.makedirs(staging or out_dir, exist_ok=True)
+    staging = os.path.join(out_dir, ".staging")
+    shutil.rmtree(staging, ignore_errors=True)  # left by a batch that was killed
+    staged_traces = os.path.join(staging, "traces") if keep_traces else None
+    os.makedirs(staged_traces or staging)
     jobs = [
         (
             label,
             replace(scenario, trace_positions=True) if keep_traces else scenario,
             seed,
-            staging,
+            staged_traces,
         )
         for label, scenario, _ in variants
         for seed in batch.seeds
@@ -91,7 +91,7 @@ def run_batch(
 
         paths = {}
 
-        runs_path = os.path.join(out_dir, "runs.csv")
+        runs_path = os.path.join(staging, "runs.csv")
         with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.RUN_CSV_HEADER + "\n")
             for label, _, _ in variants:
@@ -99,7 +99,7 @@ def run_batch(
                     fh.write(metrics.run_csv_row(label, seed, m) + "\n")
         paths["runs"] = runs_path
 
-        summary_path = os.path.join(out_dir, "summary.csv")
+        summary_path = os.path.join(staging, "summary.csv")
         duration = batch.base.duration_ms
         attack_start = batch.base.attacker.attack_start_ms
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -111,16 +111,16 @@ def run_batch(
                 )
         paths["summary"] = summary_path
 
-        paths.update(_write_plot_data(out_dir, batch, by_label))
-
-        if staging:
-            trace_dir = os.path.join(out_dir, "traces")
-            shutil.rmtree(trace_dir, ignore_errors=True)
-            os.replace(staging, trace_dir)
-            paths["traces"] = trace_dir
+        paths.update(_write_plot_data(staging, batch, by_label))
+        if staged_traces:
+            paths["traces"] = staged_traces
+            shutil.rmtree(os.path.join(out_dir, "traces"), ignore_errors=True)
+        for name, path in paths.items():
+            paths[name] = os.path.join(out_dir, os.path.basename(path))
+            os.replace(path, paths[name])
+        os.rmdir(staging)
     except BaseException:
-        if made_out_dir or staging:
-            shutil.rmtree(out_dir if made_out_dir else staging)
+        shutil.rmtree(out_dir if made_out_dir else staging, ignore_errors=True)
         raise
     return paths
 

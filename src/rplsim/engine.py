@@ -8,7 +8,9 @@ another's draws.  Virtual time is integer milliseconds.
 The MAC abstraction is thin: multicast frames cost one short airtime unit and
 are never retried; unicast frames strobe for a long airtime per attempt until
 the destination acknowledges (attackers never acknowledge), and a node that
-is mid-transmission cannot hear incoming frames.  Every frame charges the
+is mid-transmission cannot hear incoming frames.  A ``Frame`` is a slotted
+dataclass, and a failed attempt re-queues the same frame with its
+``attempt`` bumped rather than building a new one.  Every frame charges the
 congestion window of every node in range of the sender.  Each sender's
 in-range receivers are kept as an exact list, rebuilt at start and after
 every mobility step (the only times positions change), so delivering a frame
@@ -58,7 +60,7 @@ class EventKind(enum.IntEnum):
     SCRIPT = 6
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     kind: str  # dio | dis | dao | dao_ack | probe | data
     src: int
@@ -251,29 +253,39 @@ class Simulation:
         return UNICAST_AIRTIME_MS
 
     def _transmit(self, node: NodeState, frame: Frame, not_before: int) -> None:
-        """Queue one frame on the node's transceiver (FIFO in call order)."""
-        frame.airtime_ms = self._airtime(frame)
-        end = max(not_before, self._tx_free_at[node.id]) + frame.airtime_ms
-        self._tx_free_at[node.id] = end
-        self._schedule(end, EventKind.MSG_DELIVERY, (frame,))
+        """Queue one frame on the node's transceiver (FIFO in call order).
+
+        The hot path of every frame, so it pushes the delivery event itself
+        with ``_schedule``'s rules: nothing past the run's end, never earlier
+        than now.
+        """
+        airtime = frame.airtime_ms = self._airtime(frame)
+        tx_free_at = self._tx_free_at
+        end = tx_free_at[node.id] = max(not_before, tx_free_at[node.id]) + airtime
+        if end > self.scenario.duration_ms:
+            return
+        assert end >= self.now, "events may only be scheduled at >= current time"
+        self._seq += 1
+        heapq.heappush(self._heap, (end, self._seq, 0, (frame,)))  # MSG_DELIVERY
 
     def _on_delivery(self, frame: Frame) -> None:
+        dst = frame.dst
         got = self.radio.deliver(
-            self.now, frame.airtime_ms, self._in_range[frame.src], self._tx_free_at, frame.dst
+            self.now, frame.airtime_ms, self._in_range[frame.src], self._tx_free_at, dst
         )
-        nodes = self.nodes
-        if frame.dst is None:
+        if dst is None:
+            nodes = self.nodes
             for node_id in got:
                 self._receive(nodes[node_id], frame)
+            return
+        # an attacker target consumed its loss draw but never acknowledges
+        acked = got and dst not in self.attackers
+        if frame.kind == "probe":
+            self._probe_outcome(self.nodes[frame.src], frame, acked)
         else:
-            # an attacker target consumed its loss draw but never acknowledges
-            acked = got and nodes[frame.dst].role is not Role.ATTACKER
-            self._unicast_outcome(nodes[frame.src], frame, acked)
+            self._unicast_outcome(self.nodes[frame.src], frame, acked)
 
     def _unicast_outcome(self, sender: NodeState, frame: Frame, acked: bool) -> None:
-        if frame.kind == "probe":
-            self._probe_outcome(sender, frame, acked)
-            return
         if frame.kind == "data":
             self._data_outcome(sender, frame, acked)
             return
@@ -349,14 +361,8 @@ class Simulation:
 
     def _probe_outcome(self, node: NodeState, frame: Frame, acked: bool) -> None:
         if not acked and frame.attempt < frame.max_attempts:
-            retry = Frame(
-                "probe",
-                node.id,
-                frame.dst,
-                attempt=frame.attempt + 1,
-                max_attempts=frame.max_attempts,
-            )
-            self._transmit(node, retry, self.now)
+            frame.attempt += 1  # the heap held the only reference: re-queue it
+            self._transmit(node, frame, self.now)
             return
         node.probes_in_flight.discard(frame.dst)
         self._probe_done_at[(node.id, frame.dst)] = self.now
@@ -405,16 +411,9 @@ class Simulation:
         if frame.attempt < frame.max_attempts:
             if node.id == packet.origin:
                 self._record(self.now, node.id, "data_sent", packet.seq, frame.attempt + 1)
-            retry = Frame(
-                "data",
-                node.id,
-                frame.dst,
-                payload=packet,
-                attempt=frame.attempt + 1,
-                max_attempts=frame.max_attempts,
-            )
+            frame.attempt += 1
             jitter = int(self.rng_jitter.random() * RETRY_BACKOFF_MS)
-            self._transmit(node, retry, self.now + RETRY_BACKOFF_MS + jitter)
+            self._transmit(node, frame, self.now + RETRY_BACKOFF_MS + jitter)
             return
         self._apply_actions(
             node, rpl.note_link_outcome(node, frame.dst, frame.attempt, False)

@@ -50,6 +50,10 @@ class Radio:
     def __init__(self, config: RadioConfig, rng, n_nodes: int):
         self.config = config
         self.rng = rng
+        # bound once: deliver runs for every frame
+        self._window_ms = config.window_ms
+        self._base_loss = config.base_loss
+        self._random = rng.random
         # airtime a window holds before frames start to be lost; none: never
         self._capacity_ms = config.capacity_ms if config.congestion_model == "airtime" else None
         # per node: id of the window last charged, and the airtime it holds
@@ -72,12 +76,12 @@ class Radio:
         return lists
 
     def _lost(self, occupied: int) -> bool:
-        p_loss = self.config.base_loss
+        p_loss = self._base_loss
         capacity = self._capacity_ms
         if capacity is not None and occupied > capacity:
             p_extra = min(1.0, (occupied - capacity) / capacity)
             p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
-        return self.rng.random() < p_loss
+        return self._random() < p_loss
 
     def deliver(
         self,
@@ -97,7 +101,7 @@ class Radio:
         draws only for ``draw_for``, when it is in range and not busy, and
         returns whether it got the frame.
         """
-        win = now // self.config.window_ms
+        win = now // self._window_ms
         window_id, occupied = self._window_id, self._occupied
         for r in receivers:
             if window_id[r] == win:

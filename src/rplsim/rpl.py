@@ -94,9 +94,6 @@ class Candidate:
     etx: float = ETX_INIT
     confirmed: bool = False
 
-    def rank_too_deep(self, own_rank: int | None) -> bool:
-        return own_rank is not None and self.advertised_rank >= own_rank
-
 
 @dataclass
 class NodeState:
@@ -123,12 +120,6 @@ class NodeState:
         return self.rank is not None
 
 
-def rank_increase(etx: float, mode: ObjectiveMode) -> int:
-    if mode is ObjectiveMode.OF0:
-        return OF0_RANK_STEP
-    return round(MRHOF_RANK_FACTOR * max(ETX_INIT, etx))
-
-
 def objective_function(
     candidates: list[tuple[int, int, float]],
     mode: ObjectiveMode = ObjectiveMode.MRHOF_ETX,
@@ -143,34 +134,36 @@ def objective_function(
     current parent is given, a different candidate wins only if it beats the
     current cost by more than the hysteresis margin.
     """
-    best: tuple[int, int] | None = None
-    current_cost: int | None = None
+    of0 = mode is ObjectiveMode.OF0
+    current_addr = None if current is None else current[0]
+    best_addr = best_cost = current_cost = None
     for addr, adv_rank, etx in candidates:
-        cost = adv_rank + rank_increase(etx, mode)
-        if current is not None and addr == current[0]:
+        # rank increase: a flat step (OF0) or the ETX floored at 1 (MRHOF)
+        etx = etx if etx > ETX_INIT else ETX_INIT
+        cost = adv_rank + (OF0_RANK_STEP if of0 else round(MRHOF_RANK_FACTOR * etx))
+        if addr == current_addr:
             current_cost = cost
-        if best is None or (cost, addr) < (best[1], best[0]):
-            best = (addr, cost)
-    if best is None:
+        if best_cost is None or cost < best_cost or (cost == best_cost and addr < best_addr):
+            best_addr, best_cost = addr, cost
+    if best_addr is None:
         return None
-    if current is not None and current_cost is not None and best[0] != current[0]:
-        if best[1] >= current_cost - hysteresis:
-            return (current[0], current_cost)
-    return best
+    if current_cost is not None and best_addr != current_addr:
+        if best_cost >= current_cost - hysteresis:
+            return (current_addr, current_cost)
+    return (best_addr, best_cost)
 
 
 def eligible_candidates(node: NodeState) -> list[tuple[int, int, float]]:
     """Confirmed, current-version candidates that do not violate loop rules."""
-    out = []
-    for cand in node.candidates.values():
-        if not cand.confirmed or cand.version != node.version:
-            continue
-        if node.joined and node.preferred_parent != cand.addr:
-            # max_depth rule: never adopt a parent advertising >= own rank
-            if cand.rank_too_deep(node.rank):
-                continue
-        out.append((cand.addr, cand.advertised_rank, cand.etx))
-    return out
+    version, rank, parent = node.version, node.rank, node.preferred_parent
+    # max_depth rule: once joined, never adopt a new parent advertising >= own rank
+    return [
+        (cand.addr, cand.advertised_rank, cand.etx)
+        for cand in node.candidates.values()
+        if cand.confirmed
+        and cand.version == version
+        and (rank is None or cand.addr == parent or cand.advertised_rank < rank)
+    ]
 
 
 def select_parent(node: NodeState) -> list[tuple]:

@@ -10,6 +10,8 @@ from rplsim import cli, engine, metrics
 from rplsim.config import load_batch
 from rplsim.trace import read_trace
 
+HEADLINE = os.path.join(os.path.dirname(__file__), "..", "configs", "headline.cfg")
+
 TINY = """
 [scenario]
 name = tiny
@@ -126,7 +128,22 @@ class TestRunBatch:
         present.mkdir()
         with pytest.raises(OSError, match="disk full"):
             cli.run_batch(tiny_cfg, str(present), **one_traced_run)
-        assert not (present / ".traces-staging").exists()
+        assert os.listdir(present) == []
+
+    def test_failed_write_leaves_an_earlier_batch_as_it_was(self, tmp_path, monkeypatch):
+        one_run = dict(mode="baseline", mobility="static")
+        out = tmp_path / "out"
+        cli.run_batch(HEADLINE, str(out), seeds=(1,), **one_run)
+        before = {name: read(out / name) for name in os.listdir(out)}
+        assert len(before) == 6  # runs, summary and four plot files
+
+        def aggregate_row_failing(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(metrics, "aggregate_csv_row", aggregate_row_failing)
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_batch(HEADLINE, str(out), seeds=(2,), **one_run)
+        assert {name: read(out / name) for name in os.listdir(out)} == before
 
     def test_second_trace_batch_replaces_the_traces(self, tiny_cfg, tmp_path):
         out = tmp_path / "t"

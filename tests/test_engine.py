@@ -7,9 +7,9 @@ from dataclasses import fields
 
 import pytest
 
-from rplsim import engine
+from rplsim import engine, rpl
 from rplsim.config import ScenarioConfig, make_variant
-from rplsim.radio import MobilityConfig, RadioConfig
+from rplsim.radio import MobilityConfig, Radio, RadioConfig
 from rplsim.rpl import Role
 
 
@@ -295,3 +295,78 @@ class TestAirtime:
         assert sim._airtime(engine.Frame("data", 1, 0)) == engine.UNICAST_AIRTIME_MS == 30
         assert sim._airtime(engine.Frame("dio", 1, None)) == sim.scenario.radio.airtime_per_msg_ms
         assert sim._airtime(engine.Frame("probe", 1, 0)) == sim.scenario.radio.strobe_airtime_ms
+
+
+class TestRetryChains:
+    """Failed unicast attempts re-queue their frame until the budget is spent."""
+
+    def run_watched(self, monkeypatch, seed):
+        sc = make_variant(small_base(), "attack", "static", 1000)
+        sim = engine.Simulation(sc, seed)
+        # static: each sender's receiver list is one fixed object, so its
+        # identity names the sender of every delivered frame
+        sender = {id(lst): src for src, lst in enumerate(sim._in_range)}
+        events = []
+        real_deliver, real_note = Radio.deliver, rpl.note_probe_result
+        real_link = rpl.note_link_outcome
+
+        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+            events.append(("tx", now, sender[id(receivers)], draw_for, airtime_ms))
+            return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
+
+        def note_probe_result(node, target, ok):
+            events.append(("note", sim.now, node.id, target, ok))
+            return real_note(node, target, ok)
+
+        def note_link_outcome(node, neighbor, attempts, delivered):
+            events.append(("link", sim.now, node.id, neighbor, attempts, delivered))
+            return real_link(node, neighbor, attempts, delivered)
+
+        monkeypatch.setattr(Radio, "deliver", deliver)
+        monkeypatch.setattr(rpl, "note_probe_result", note_probe_result)
+        monkeypatch.setattr(rpl, "note_link_outcome", note_link_outcome)
+        sim.run()
+        return sim, events
+
+    def test_strobes_at_an_attacker_come_in_whole_chains(self, monkeypatch):
+        sim, events = self.run_watched(monkeypatch, seed=1)
+        strobe_ms = sim.scenario.radio.strobe_airtime_ms
+        chains = 0
+        for attacker in sim.attackers:
+            for src in sorted(set(sim.nodes) - set(sim.attackers)):
+                seq = [
+                    ev
+                    for ev in events
+                    if ev[2] == src
+                    and ev[3] == attacker
+                    and (ev[0] == "note" or ev[4] == strobe_ms)
+                ]
+                while len(seq) > engine.PROBE_ATTEMPTS:
+                    chain, note = seq[: engine.PROBE_ATTEMPTS], seq[engine.PROBE_ATTEMPTS]
+                    assert [ev[0] for ev in chain] == ["tx"] * engine.PROBE_ATTEMPTS
+                    assert note == ("note", chain[-1][1], src, attacker, False)
+                    seq = seq[engine.PROBE_ATTEMPTS + 1 :]
+                    if seq:  # the next chain starts only after the cooldown
+                        assert seq[0][1] >= note[1] + engine.PROBE_COOLDOWN_MS + strobe_ms
+                    chains += 1
+                # a chain the end of the run cut short
+                assert all(ev[0] == "tx" for ev in seq)
+        assert chains > 100
+
+    def test_a_lost_data_frame_is_sent_again_as_attempt_two(self, monkeypatch):
+        sim, events = self.run_watched(monkeypatch, seed=1)
+        resent = [rec for rec in sim.trace if rec[2] == "data_sent" and rec[4] == 2]
+        assert resent
+        unicast_ms = engine.UNICAST_AIRTIME_MS
+        for t, node, *_ in resent:
+            # the first attempt went to the air and was lost just now
+            lost = next(
+                i
+                for i, ev in enumerate(events)
+                if ev[:3] == ("tx", t, node) and ev[4] == unicast_ms
+            )
+            # the same frame comes back after the backoff and ends its chain
+            # as attempt 2, to the same parent
+            outcome = next(ev for ev in events[lost:] if ev[0] == "link" and ev[2] == node)
+            assert outcome[3:5] == (events[lost][3], 2)
+            assert outcome[1] >= t + engine.RETRY_BACKOFF_MS + unicast_ms
