@@ -1,9 +1,12 @@
 """Pinned trace bytes: a speed-up that moves one byte of a trace fails here.
 
-Three 300 s runs of ``configs/headline.cfg``, each traced the way a
+Four 300 s runs of ``configs/headline.cfg``, each traced the way a
 ``--trace`` batch writes it (positions on, through ``write_trace``), are
-hashed and compared with sha256 digests recorded before the hot path of
-frame delivery was last optimised.  A change that is meant to alter the
+hashed and compared with sha256 digests recorded before the hot path they
+guard was last optimised.  The fourth shrinks the detector tables to
+``node_max = 8`` so that the overflow path runs too: when it was recorded
+it emitted 4,361 ``ids_overflow``, 175 ``ids_discard``, 13 ``ids_suspect``
+and 3 ``ids_block`` records.  A change that is meant to alter the
 behaviour updates these digests and says why.
 """
 
@@ -26,6 +29,7 @@ PINNED = {
     ("static-attack-r1s", 2): "44d011c6918cc9dd804eb5fd1dce23580177555bb985dd2b3d0cc5e47c504749",
     ("mobile-cosec-r1s", 1): "eb00603b28d69cbc1dcbb03eb17a901da11471404ee88454bffea2e8194048e7",
 }
+OVERFLOW_PIN = "e6c7a83170f011a3892029d78bfe43a0508ed7b00e6eeda718ed8cc1f38207f1"
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +39,18 @@ def variants():
     return {label: scenario for label, scenario, _ in batch.variants()}
 
 
+def _digest(scenario, seed, path) -> str:
+    write_trace(engine.run(replace(scenario, trace_positions=True), seed)[1], path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("label,seed", sorted(PINNED))
 def test_trace_bytes_are_pinned(variants, tmp_path, label, seed):
-    scenario = replace(variants[label], trace_positions=True)
-    path = tmp_path / f"{label}-s{seed}.tsv"
-    write_trace(engine.run(scenario, seed)[1], path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[(label, seed)]
+    digest = _digest(variants[label], seed, tmp_path / f"{label}-s{seed}.tsv")
+    assert digest == PINNED[(label, seed)]
+
+
+def test_overflowing_detector_trace_bytes_are_pinned(variants, tmp_path):
+    scenario = variants["static-cosec-r1s"]
+    scenario = replace(scenario, ids=replace(scenario.ids, node_max=8))
+    assert _digest(scenario, 1, tmp_path / "overflow.tsv") == OVERFLOW_PIN
