@@ -80,7 +80,7 @@ def run_batch(
     try:
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:
-                raw = pool.map(_run_one, jobs)
+                raw = pool.map(_run_one, jobs, chunksize=1)
         else:
             raw = [_run_one(job) for job in jobs]
         run_metrics = {(label, seed): m for label, seed, m in raw}

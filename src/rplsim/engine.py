@@ -5,10 +5,10 @@ randomness comes from named per-subsystem streams derived from the run seed
 (topology, radio, mobility, jitter), so toggling one subsystem cannot perturb
 another's draws.  Virtual time is integer milliseconds.
 
-The MAC abstraction is thin: multicast frames cost one short airtime unit and
-are never retried; unicast frames strobe for a long airtime per attempt until
-the destination acknowledges (attackers never acknowledge), and a node that
-is mid-transmission cannot hear incoming frames.  A ``Frame`` is a slotted
+The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
+one short airtime unit and are never retried; unicast frames strobe for a
+long airtime per attempt until the destination acknowledges (attackers never
+acknowledge), and a node that is mid-transmission cannot hear incoming frames.  A ``Frame`` is a slotted
 dataclass, and a failed attempt re-queues the same frame with its
 ``attempt`` bumped rather than building a new one.  Every frame charges the
 congestion window of every node in range of the sender.  Each sender's
@@ -34,7 +34,7 @@ from . import metrics as metrics_mod
 from . import rpl
 from .attack import AttackerState, attacker_step
 from .config import ScenarioConfig
-from .ids import IdsState, Verdict
+from .ids import ACCEPTED, DISCARDED, IdsState
 from .radio import Mobility, Radio
 from .rpl import DataPacket, DioMessage, NodeState, Role
 
@@ -274,9 +274,11 @@ class Simulation:
             self.now, frame.airtime_ms, self._in_range[frame.src], self._tx_free_at, dst
         )
         if dst is None:
-            nodes = self.nodes
-            for node_id in got:
-                self._receive(nodes[node_id], frame)
+            if frame.kind == "dio":
+                self._receive_dio(got, frame.payload)
+            else:  # dis: attackers ignore solicitations
+                for node in (self.nodes[i] for i in got if i not in self.attackers):
+                    self._apply_actions(node, rpl.handle_dis(node, self.now))
             return
         # an attacker target consumed its loss draw but never acknowledges
         acked = got and dst not in self.attackers
@@ -297,33 +299,28 @@ class Simulation:
 
     # -- reception ---------------------------------------------------------
 
-    def _receive(self, node: NodeState, frame: Frame) -> None:
-        if node.role is Role.ATTACKER:
-            if frame.kind == "dio":
-                distance = math.dist(node.position, self.nodes[frame.src].position)
-                self.attackers[node.id].overhear(frame.payload, distance, self.now)
-            return
-        if frame.kind == "dio":
-            self._receive_dio(node, frame.payload)
-        elif frame.kind == "dis":
-            self._apply_actions(node, rpl.handle_dis(node, self.now))
-        elif frame.kind == "data":
-            self._forward_data(node, frame.payload)
-        # dao/dao_ack carry no routing state in this model
-
-    def _receive_dio(self, node: NodeState, dio: DioMessage) -> None:
-        if node.ids is not None:
-            verdict = ids_mod.process_dio(node.ids, dio.src, self.now)
-            for subject in verdict.newly_suspected:
-                self._record(self.now, node.id, "ids_suspect", subject)
-            for subject in verdict.newly_blocked:
-                self._record(self.now, node.id, "ids_block", subject)
-            if verdict.overflow:
-                self._record(self.now, node.id, "ids_overflow", dio.src)
-            if verdict.verdict is Verdict.DISCARD_BLOCKED:
-                self._record(self.now, node.id, "ids_discard", dio.src)
-                return
-        self._apply_actions(node, rpl.handle_dio(node, dio, self.now))
+    def _receive_dio(self, got: list[int], dio: DioMessage) -> None:
+        """Attackers overhear; detectors drop a blocked sender's copy; RPL gets the rest."""
+        now, src, nodes, attackers, trace = self.now, dio.src, self.nodes, self.attackers, self.trace
+        for node_id in got:
+            node = nodes[node_id]
+            if node_id in attackers:
+                distance = math.dist(node.position, nodes[src].position)
+                attackers[node_id].overhear(dio, distance, now)
+                continue
+            if node.ids is not None:
+                verdict = ids_mod.process_dio(node.ids, src, now)
+                if verdict is DISCARDED:
+                    trace.append((now, node_id, "ids_discard", src))
+                    continue
+                if verdict is not ACCEPTED:
+                    for subject in verdict.newly_suspected:
+                        trace.append((now, node_id, "ids_suspect", subject))
+                    for subject in verdict.newly_blocked:
+                        trace.append((now, node_id, "ids_block", subject))
+                    if verdict.overflow:
+                        trace.append((now, node_id, "ids_overflow", src))
+            self._apply_actions(node, rpl.handle_dio(node, dio, now))
 
     def _apply_actions(self, node: NodeState, actions: list[tuple]) -> None:
         for action in actions:

@@ -16,7 +16,8 @@ discarded on arrival from then on.
 
 All timestamps are integer virtual milliseconds supplied by the caller; the
 module itself never reads a clock, so identical call sequences produce
-identical states.
+identical states.  It holds no mutable global state; verdicts are immutable,
+and a reception that runs no check returns a shared one (``DISCARDED`` etc.).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Verdict(enum.Enum):
     DISCARD_BLOCKED = "discard_blocked"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DioVerdict:
     """Outcome of one DIO reception.
 
@@ -86,9 +87,14 @@ class DioVerdict:
     """
 
     verdict: Verdict
-    newly_suspected: list[int] = field(default_factory=list)
-    newly_blocked: list[int] = field(default_factory=list)
+    newly_suspected: tuple[int, ...] = ()
+    newly_blocked: tuple[int, ...] = ()
     overflow: bool = False
+
+
+DISCARDED = DioVerdict(Verdict.DISCARD_BLOCKED)
+ACCEPTED = DioVerdict(Verdict.ACCEPT)
+ACCEPTED_OVERFLOW = DioVerdict(Verdict.ACCEPT, overflow=True)
 
 
 @dataclass
@@ -116,8 +122,8 @@ def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
     observed gap is its whole uptime.  When the table is full the sender is
     simply not tracked.
     """
-    if state.is_blocked(src_ip):
-        return DioVerdict(Verdict.DISCARD_BLOCKED)
+    if state.blacklist.get(src_ip, 0) >= state.config.block_threshold:
+        return DISCARDED
 
     overflow = False
     entry = state.neighbors.get(src_ip)
@@ -134,12 +140,11 @@ def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
         overflow = True
         state.overflow_count += 1
 
-    suspected: list[int] = []
-    blocked: list[int] = []
-    if state.active:
-        suspected, blocked = check_malicious(state, now)
-        state.active = False
-    return DioVerdict(Verdict.ACCEPT, suspected, blocked, overflow)
+    if not state.active:
+        return ACCEPTED_OVERFLOW if overflow else ACCEPTED
+    suspected, blocked = check_malicious(state, now)
+    state.active = False
+    return DioVerdict(Verdict.ACCEPT, tuple(suspected), tuple(blocked), overflow)
 
 
 def check_malicious(state: IdsState, now: int) -> tuple[list[int], list[int]]:

@@ -108,43 +108,50 @@ def compute_frt(
     for rec in trace:
         if rec[2] == kind and rec[3] in truth.attacker_set:
             first_seen.setdefault(rec[3], rec[0])
+    return _since_attack(first_seen, truth)
+
+
+def _since_attack(first_seen: dict[int, int], truth: GroundTruth) -> dict[int, int | None]:
     return {
-        attacker: (
-            first_seen[attacker] - truth.attack_start_ms
-            if attacker in first_seen
-            else None
-        )
+        attacker: first_seen[attacker] - truth.attack_start_ms if attacker in first_seen else None
         for attacker in sorted(truth.attacker_set)
     }
 
 
 def from_trace(trace) -> RunMetrics:
+    """The ``compute_*`` figures and the record counts in one pass."""
     truth = ground_truth(trace)
     attackers = truth.attacker_set
-    counts = {"dio_sent": 0, "dis_sent": 0, "dao_sent": 0, "data_sent": 0,
-              "data_delivered": 0, "loop_drop": 0, "ids_overflow": 0}
-    false_susp = legit_blocks = 0
+    counts = dict.fromkeys(("dio_sent", "dis_sent", "dao_sent", "data_sent", "data_delivered",
+                            "loop_drop", "ids_overflow", "ids_suspect", "ids_block"), 0)
+    delay_total = 0
+    first = {"ids_suspect": {}, "ids_block": {}}  # attacker -> first record time
+    wrong = {"ids_suspect": 0, "ids_block": 0}  # records naming a legitimate node
     for rec in trace:
         kind = rec[2]
         if kind in counts:
             counts[kind] += 1
-        elif kind == "ids_suspect" and rec[3] not in attackers:
-            false_susp += 1
-        elif kind == "ids_block" and rec[3] not in attackers:
-            legit_blocks += 1
+            if kind == "data_delivered":
+                delay_total += rec[0] - rec[5]
+            elif kind in first:
+                if rec[3] in attackers:
+                    first[kind].setdefault(rec[3], rec[0])
+                else:
+                    wrong[kind] += 1
+    sent, delivered, suspicions = (counts[k] for k in ("data_sent", "data_delivered", "ids_suspect"))
     return RunMetrics(
-        pdr=compute_pdr(trace),
-        ae2ed_ms=compute_ae2ed(trace),
-        ada=compute_ada(trace, truth),
-        frt_ms=compute_frt(trace, truth),
-        block_ms=compute_frt(trace, truth, "ids_block"),
+        pdr=delivered / sent if sent else None,
+        ae2ed_ms=delay_total / delivered if delivered else None,
+        ada=(suspicions - wrong["ids_suspect"]) / suspicions if suspicions else None,
+        frt_ms=_since_attack(first["ids_suspect"], truth),
+        block_ms=_since_attack(first["ids_block"], truth),
         dio_sent=counts["dio_sent"],
         dis_sent=counts["dis_sent"],
         dao_sent=counts["dao_sent"],
-        data_sent=counts["data_sent"],
-        data_delivered=counts["data_delivered"],
-        false_suspicions=false_susp,
-        permanent_blocks_legit=legit_blocks,
+        data_sent=sent,
+        data_delivered=delivered,
+        false_suspicions=wrong["ids_suspect"],
+        permanent_blocks_legit=wrong["ids_block"],
         overflow_events=counts["ids_overflow"],
         loop_drops=counts["loop_drop"],
     )

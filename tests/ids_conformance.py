@@ -62,7 +62,7 @@ def scenario_early_detection_no_mutation():
     before = snapshot(state)
     v = process_dio(state, 3, 900)
     assert v.verdict is Verdict.DISCARD_BLOCKED
-    assert v.newly_suspected == [] and v.newly_blocked == []
+    assert v.newly_suspected == () and v.newly_blocked == ()
     assert snapshot(state) == before
 
     # merely suspected senders are still accepted and tracked
@@ -182,12 +182,12 @@ def scenario_escalation_to_block():
         v = process_dio(state, attacker, t + 200)
         t += 40_000  # beyond one check period before the next round
         if round_no < block_at:
-            assert v.newly_suspected == [attacker] and v.newly_blocked == []
+            assert v.newly_suspected == (attacker,) and v.newly_blocked == ()
             assert snapshot(state)["blacklist"] == [[attacker, round_no, False]]
             # re-prime a small gap for the next round's trigger reception
             process_dio(state, attacker, t)
         else:
-            assert v.newly_suspected == [] and v.newly_blocked == [attacker]
+            assert v.newly_suspected == () and v.newly_blocked == (attacker,)
 
     assert snapshot(state) == {
         "neighbors": [

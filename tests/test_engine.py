@@ -7,8 +7,9 @@ from dataclasses import fields
 
 import pytest
 
-from rplsim import engine, rpl
+from rplsim import engine, ids, rpl
 from rplsim.config import ScenarioConfig, make_variant
+from rplsim.ids import Verdict
 from rplsim.radio import MobilityConfig, Radio, RadioConfig
 from rplsim.rpl import Role
 
@@ -23,6 +24,25 @@ def small_base(**kwargs):
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
+
+
+class TestLayerContract:
+    """The benchmark counts detector work by wrapping ``ids.process_dio``."""
+
+    def test_every_discard_is_seen_through_the_module_attribute(self, monkeypatch):
+        discards = 0
+        original = ids.process_dio
+
+        def counting(state, src, now):
+            nonlocal discards
+            verdict = original(state, src, now)
+            discards += verdict.verdict is Verdict.DISCARD_BLOCKED
+            return verdict
+
+        monkeypatch.setattr(ids, "process_dio", counting)
+        _, trace = engine.run(make_variant(small_base(), "cosec", "static", 1000), 1)
+        assert discards > 0
+        assert discards == sum(1 for rec in trace if rec[2] == "ids_discard")
 
 
 class TestDeterminism:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rplsim.ids import (
+    ACCEPTED,
     IdsConfig,
     IdsState,
     Verdict,
@@ -145,8 +147,27 @@ def test_single_neighbor_never_flagged():
         process_dio(state, 5, 200_000 + k * 100)
     tick(state, 400_000)
     verdict = process_dio(state, 5, 400_001)
-    assert verdict.newly_suspected == [] and verdict.newly_blocked == []
+    assert verdict.newly_suspected == () and verdict.newly_blocked == ()
     assert state.blacklist == {}
+
+
+def test_verdicts_cannot_be_modified():
+    state = IdsState(IdsConfig(node_max=8, block_threshold=2))
+    for i, count in enumerate(ids_conformance.FLAT_COUNTS):
+        for k in range(count):
+            process_dio(state, i + 1, 1000 * (i + 1) + k * 10_000)
+    for k in range(51):
+        process_dio(state, 9, 1_000_000 + k * 200)
+    tick(state, 1_010_200)
+    checked = process_dio(state, 9, 1_010_200)
+    assert checked.newly_suspected == (9,)
+    shared = process_dio(state, 1, 1_010_300)
+    assert shared is ACCEPTED
+    for verdict in (checked, shared):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            verdict.overflow = True
+        assert isinstance(verdict.newly_suspected, tuple)
+        assert isinstance(verdict.newly_blocked, tuple)
 
 
 def test_check_consumes_active_flag():

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from rplsim import engine
+from rplsim import engine, metrics
 from rplsim.config import load_batch
 from rplsim.trace import write_trace
 
@@ -33,24 +34,67 @@ OVERFLOW_PIN = "e6c7a83170f011a3892029d78bfe43a0508ed7b00e6eeda718ed8cc1f38207f1
 
 
 @pytest.fixture(scope="module")
-def variants():
+def run_trace():
+    """``(label, seed, node_max=None) -> trace``, each run made once per module."""
     batch = load_batch(HEADLINE)
     batch = replace(batch, base=replace(batch.base, duration_ms=300_000))
-    return {label: scenario for label, scenario, _ in batch.variants()}
+    variants = {label: scenario for label, scenario, _ in batch.variants()}
+    done = {}
+
+    def trace(label, seed, node_max=None):
+        if (label, seed, node_max) not in done:
+            scenario = replace(variants[label], trace_positions=True)
+            if node_max is not None:
+                scenario = replace(scenario, ids=replace(scenario.ids, node_max=node_max))
+            done[(label, seed, node_max)] = engine.run(scenario, seed)[1]
+        return done[(label, seed, node_max)]
+
+    return trace
 
 
-def _digest(scenario, seed, path) -> str:
-    write_trace(engine.run(replace(scenario, trace_positions=True), seed)[1], path)
+def _digest(trace, path) -> str:
+    write_trace(trace, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("label,seed", sorted(PINNED))
-def test_trace_bytes_are_pinned(variants, tmp_path, label, seed):
-    digest = _digest(variants[label], seed, tmp_path / f"{label}-s{seed}.tsv")
+def test_trace_bytes_are_pinned(run_trace, tmp_path, label, seed):
+    digest = _digest(run_trace(label, seed), tmp_path / f"{label}-s{seed}.tsv")
     assert digest == PINNED[(label, seed)]
 
 
-def test_overflowing_detector_trace_bytes_are_pinned(variants, tmp_path):
-    scenario = variants["static-cosec-r1s"]
-    scenario = replace(scenario, ids=replace(scenario.ids, node_max=8))
-    assert _digest(scenario, 1, tmp_path / "overflow.tsv") == OVERFLOW_PIN
+def test_overflowing_detector_trace_bytes_are_pinned(run_trace, tmp_path):
+    digest = _digest(run_trace("static-cosec-r1s", 1, 8), tmp_path / "overflow.tsv")
+    assert digest == OVERFLOW_PIN
+
+
+@pytest.mark.parametrize(
+    "label,seed,node_max", [*sorted(key + (None,) for key in PINNED), ("static-cosec-r1s", 1, 8)]
+)
+def test_one_pass_metrics_match_the_reference_functions(run_trace, label, seed, node_max):
+    trace = run_trace(label, seed, node_max)
+    truth = metrics.ground_truth(trace)
+    got = metrics.from_trace(trace)
+    kinds = Counter(rec[2] for rec in trace)
+    assert got.pdr == metrics.compute_pdr(trace)
+    assert got.ae2ed_ms == metrics.compute_ae2ed(trace)
+    assert got.ada == metrics.compute_ada(trace, truth)
+    assert got.frt_ms == metrics.compute_frt(trace, truth)
+    assert got.block_ms == metrics.compute_frt(trace, truth, "ids_block")
+    for field, kind in [
+        ("dio_sent", "dio_sent"),
+        ("dis_sent", "dis_sent"),
+        ("dao_sent", "dao_sent"),
+        ("data_sent", "data_sent"),
+        ("data_delivered", "data_delivered"),
+        ("overflow_events", "ids_overflow"),
+        ("loop_drops", "loop_drop"),
+    ]:
+        assert getattr(got, field) == kinds[kind]
+    attackers = truth.attacker_set
+    assert got.false_suspicions == sum(
+        1 for rec in trace if rec[2] == "ids_suspect" and rec[3] not in attackers
+    )
+    assert got.permanent_blocks_legit == sum(
+        1 for rec in trace if rec[2] == "ids_block" and rec[3] not in attackers
+    )
