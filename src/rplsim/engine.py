@@ -8,13 +8,14 @@ another's draws.  Virtual time is integer milliseconds.
 The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
 one short airtime unit and are never retried; unicast frames strobe for a
 long airtime per attempt until the destination acknowledges (attackers never
-acknowledge), and a node that is mid-transmission cannot hear incoming frames.  A ``Frame`` is a slotted
-dataclass, and a failed attempt re-queues the same frame with its
-``attempt`` bumped rather than building a new one.  Every frame charges the
-congestion window of every node in range of the sender.  Each sender's
-in-range receivers are kept as an exact list, rebuilt at start and after
-every mobility step (the only times positions change), so delivering a frame
-computes no distances.
+acknowledge), and a node that is mid-transmission cannot hear incoming
+frames.  A ``Frame`` is a slotted dataclass, and a failed attempt re-queues
+the same frame with its ``attempt`` bumped rather than building a new one.
+Probe strobes have their own delivery handler, which re-queues a failed
+strobe in place.  Every frame charges the congestion window of every node in
+range of the sender.  Each sender's in-range receivers are kept as an exact
+list, rebuilt at start and after every mobility step (the only times
+positions change), so delivering a frame computes no distances.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
@@ -58,6 +59,7 @@ class EventKind(enum.IntEnum):
     ATTACK_STEP = 4
     IDS_TICK = 5
     SCRIPT = 6
+    PROBE_DELIVERY = 7
 
 
 @dataclass(slots=True)
@@ -164,8 +166,9 @@ class Simulation:
             for p in legit
             if sum(1 for q in legit if q is not p and math.dist(p, q) <= reach) >= 5
         ]
-        # attackers go one per quadrant, each planted near an anchor of its
-        # own so every attacker is heard (and detectable) by someone
+        # attackers go one per quadrant; each gets 100 tries to land within
+        # 0.8 x range of an anchor no earlier attacker reaches, then keeps its
+        # last candidate, which may have no anchor within 0.8 x range at all
         placed: list[list[float]] = []
         for index, attacker in enumerate(scenario.attacker_ids):
             qx, qy = index % 2, (index // 2) % 2
@@ -252,12 +255,12 @@ class Simulation:
             return self.scenario.radio.strobe_airtime_ms
         return UNICAST_AIRTIME_MS
 
-    def _transmit(self, node: NodeState, frame: Frame, not_before: int) -> None:
+    def _transmit(self, node: NodeState, frame: Frame, not_before: int, kind: int = 0) -> None:
         """Queue one frame on the node's transceiver (FIFO in call order).
 
-        The hot path of every frame, so it pushes the delivery event itself
-        with ``_schedule``'s rules: nothing past the run's end, never earlier
-        than now.
+        The hot path of every frame, so it pushes the ``kind`` delivery event
+        itself with ``_schedule``'s rules: nothing past the run's end, never
+        earlier than now.
         """
         airtime = frame.airtime_ms = self._airtime(frame)
         tx_free_at = self._tx_free_at
@@ -266,7 +269,7 @@ class Simulation:
             return
         assert end >= self.now, "events may only be scheduled at >= current time"
         self._seq += 1
-        heapq.heappush(self._heap, (end, self._seq, 0, (frame,)))  # MSG_DELIVERY
+        heapq.heappush(self._heap, (end, self._seq, kind, (frame,)))
 
     def _on_delivery(self, frame: Frame) -> None:
         dst = frame.dst
@@ -282,19 +285,12 @@ class Simulation:
             return
         # an attacker target consumed its loss draw but never acknowledges
         acked = got and dst not in self.attackers
-        if frame.kind == "probe":
-            self._probe_outcome(self.nodes[frame.src], frame, acked)
-        else:
-            self._unicast_outcome(self.nodes[frame.src], frame, acked)
-
-    def _unicast_outcome(self, sender: NodeState, frame: Frame, acked: bool) -> None:
         if frame.kind == "data":
-            self._data_outcome(sender, frame, acked)
-            return
-        if frame.kind == "dao" and acked:
-            parent = self.nodes[frame.dst]
-            self._record(self.now, parent.id, "dao_ack_sent", frame.src)
-            self._transmit(parent, Frame("dao_ack", parent.id, frame.src), self.now)
+            self._data_outcome(self.nodes[frame.src], frame, acked)
+        elif frame.kind == "dao" and acked:
+            parent = self.nodes[dst]
+            self._record(self.now, dst, "dao_ack_sent", frame.src)
+            self._transmit(parent, Frame("dao_ack", dst, frame.src), self.now)
         # dao/dao_ack get no retries and no ETX accounting
 
     # -- reception ---------------------------------------------------------
@@ -354,13 +350,26 @@ class Simulation:
             return
         node.probes_in_flight.add(target)
         frame = Frame("probe", node.id, target, max_attempts=PROBE_ATTEMPTS)
-        self._transmit(node, frame, self.now)
+        self._transmit(node, frame, self.now, int(EventKind.PROBE_DELIVERY))
+
+    def _on_probe_delivery(self, frame: Frame) -> None:
+        """One strobe: a failed attempt with budget left goes straight back on the air."""
+        now, src, dst = self.now, frame.src, frame.dst
+        tx_free_at = self._tx_free_at
+        got = self.radio.deliver(now, frame.airtime_ms, self._in_range[src], tx_free_at, dst)
+        acked = got and dst not in self.attackers  # attackers draw, never acknowledge
+        if not acked and frame.attempt < frame.max_attempts:
+            # the heap held the only reference: re-queue it as _transmit
+            # would, at the airtime it already has, with _schedule's horizon
+            frame.attempt += 1
+            end = tx_free_at[src] = max(now, tx_free_at[src]) + frame.airtime_ms
+            if end <= self.scenario.duration_ms:
+                self._seq += 1
+                heapq.heappush(self._heap, (end, self._seq, 7, (frame,)))  # PROBE_DELIVERY
+            return
+        self._probe_outcome(self.nodes[src], frame, acked)
 
     def _probe_outcome(self, node: NodeState, frame: Frame, acked: bool) -> None:
-        if not acked and frame.attempt < frame.max_attempts:
-            frame.attempt += 1  # the heap held the only reference: re-queue it
-            self._transmit(node, frame, self.now)
-            return
         node.probes_in_flight.discard(frame.dst)
         self._probe_done_at[(node.id, frame.dst)] = self.now
         self._apply_actions(node, rpl.note_probe_result(node, frame.dst, acked))
@@ -506,6 +515,7 @@ class Simulation:
             self._on_attack_step,
             self._on_ids_tick,
             self._on_script,
+            self._on_probe_delivery,
         )
         heap = self._heap
         pop = heapq.heappop

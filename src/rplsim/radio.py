@@ -3,11 +3,13 @@
 Reachability is a hard disk of ``tx_range_m``: ``Radio.in_range_lists`` gives
 every sender the ascending ids of the nodes within range, and the engine
 rebuilds those lists whenever positions change.  Every frame heard at a
-receiver (addressed to it or not) charges its current congestion window with
-the frame's airtime; once a window holds more airtime than
-``capacity_per_window * airtime_per_msg_ms``, further frames to that receiver
-are lost with probability that escalates with the excess.  Receivers that are
-themselves transmitting when a frame lands miss it outright (half duplex).
+receiver (addressed to it or not) charges that receiver's load in the one
+current congestion window with the frame's airtime (frames come in time
+order, so all loads restart at zero when a new window opens); once a load
+exceeds ``capacity_per_window * airtime_per_msg_ms``, further frames to that
+receiver are lost with probability that escalates with the excess.  Receivers
+that are themselves transmitting when a frame lands miss it outright (half
+duplex).  Loss is drawn in receiver order as frames are charged.
 
 Mobility implements the random waypoint model: pick a uniform point in the
 area, walk to it at a uniformly drawn speed, pause, repeat.
@@ -55,9 +57,9 @@ class Radio:
         self._base_loss = config.base_loss
         self._random = rng.random
         # airtime a window holds before frames start to be lost; none: never
-        self._capacity_ms = config.capacity_ms if config.congestion_model == "airtime" else None
-        # per node: id of the window last charged, and the airtime it holds
-        self._window_id = [-1] * n_nodes
+        self._capacity_ms = config.capacity_ms if config.congestion_model == "airtime" else math.inf
+        # the current window, and the airtime each node has heard in it
+        self._win = 0
         self._occupied = [0] * n_nodes
 
     def in_range_lists(self, positions) -> list[list[int]]:
@@ -75,14 +77,6 @@ class Radio:
                     lists[b].append(a)
         return lists
 
-    def _lost(self, occupied: int) -> bool:
-        p_loss = self._base_loss
-        capacity = self._capacity_ms
-        if capacity is not None and occupied > capacity:
-            p_extra = min(1.0, (occupied - capacity) / capacity)
-            p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
-        return self._random() < p_loss
-
     def deliver(
         self,
         now: int,
@@ -93,31 +87,44 @@ class Radio:
     ) -> list[int] | bool:
         """Resolve one transmission heard by ``receivers`` (ids, all in range).
 
-        Every receiver's congestion window is charged first (interference
-        does not care who a frame is addressed to).  ``tx_free_at[r] > now``
-        marks a receiver that is transmitting and so misses the frame.  A
-        broadcast (``draw_for`` None) draws loss for each non-busy receiver
-        in list order and returns the ids that got the frame.  A unicast
-        draws only for ``draw_for``, when it is in range and not busy, and
-        returns whether it got the frame.
+        Every receiver's congestion window is charged (interference does not
+        care who a frame is addressed to).  ``tx_free_at[r] > now`` marks a
+        receiver that is transmitting and so misses the frame.  A broadcast
+        (``draw_for`` None) draws loss for each non-busy receiver in list
+        order, right after charging it, and returns the ids that got the
+        frame.  A unicast charges every receiver, then draws only for
+        ``draw_for``, when it is in range and not busy, and returns whether
+        it got the frame.  ``now`` must not go back to an earlier window.
         """
         win = now // self._window_ms
-        window_id, occupied = self._window_id, self._occupied
-        for r in receivers:
-            if window_id[r] == win:
-                occupied[r] += airtime_ms
-            else:
-                window_id[r] = win
-                occupied[r] = airtime_ms
+        occupied = self._occupied
+        if win != self._win:
+            assert win > self._win, "frames must be delivered in time order"
+            self._win = win
+            occupied = self._occupied = [0] * len(occupied)
+        base_loss, capacity, random = self._base_loss, self._capacity_ms, self._random
         if draw_for is None:
-            return [
-                r for r in receivers if tx_free_at[r] <= now and not self._lost(occupied[r])
-            ]
-        return (
-            draw_for in receivers
-            and tx_free_at[draw_for] <= now
-            and not self._lost(occupied[draw_for])
-        )
+            got = []
+            for r in receivers:
+                load = occupied[r] = occupied[r] + airtime_ms
+                if tx_free_at[r] <= now:
+                    p_loss = base_loss
+                    if load > capacity:
+                        p_extra = min(1.0, (load - capacity) / capacity)
+                        p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
+                    if not random() < p_loss:
+                        got.append(r)
+            return got
+        for r in receivers:
+            occupied[r] += airtime_ms
+        if draw_for not in receivers or tx_free_at[draw_for] > now:
+            return False
+        p_loss = base_loss
+        load = occupied[draw_for]
+        if load > capacity:
+            p_extra = min(1.0, (load - capacity) / capacity)
+            p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
+        return not random() < p_loss
 
 
 @dataclass(frozen=True)

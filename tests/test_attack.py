@@ -118,3 +118,49 @@ class TestEndToEnd:
         entry = victim.ids.neighbors[2]
         assert entry.t_recent - entry.t_previous == 1000
         assert entry.dio_count >= 55  # lossless: every replay is counted
+
+
+class TestSparseHearers:
+    """The quartile fence cannot single out an attacker that only sparse nodes hear.
+
+    Random placement can leave an attacker with no well-connected node in
+    earshot; this pins what the detector does then.  Node 2 alone hears the
+    attacker, 35 m away; the other nodes hear only their legitimate
+    neighbours.
+    """
+
+    SPARSE = ((0, 20.0, 0.0), (1, 60.0, 0.0), (2, 100.0, 0.0), (3, 140.0, 0.0), (4, 100.0, 40.0))
+    # three more sensors around node 2, none within range of the attacker
+    DENSE = SPARSE + ((5, 120.0, 20.0), (6, 80.0, 20.0), (7, 100.0, 20.0))
+
+    def run(self, legit, seed):
+        attacker = len(legit)
+        sc = ScenarioConfig(
+            name="sparse",
+            duration_ms=1_800_000,
+            n_sensors=attacker - 1,
+            n_attackers=1,
+            topology="explicit",
+            positions=legit + ((attacker, 100.0, -35.0),),
+            radio=RadioConfig(tx_range_m=50.0, base_loss=0.0, congestion_model="none"),
+            ids_enabled=True,
+        )
+        sim = engine.Simulation(sc, seed)
+        _, trace = sim.run()
+        hearers = [i for i in sim.nodes if i != attacker and attacker in sim._in_range[i]]
+        assert hearers == [2]
+        suspects = {rec[3] for rec in trace if rec[2] == "ids_suspect"}
+        return sim, attacker, suspects
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_attacker_heard_only_by_a_degree_three_node_is_never_suspected(self, seed):
+        sim, attacker, suspects = self.run(self.SPARSE, seed)
+        assert len(sim._in_range[2]) - 1 == 3  # legitimate neighbours of the hearer
+        # heard all run long, yet the fence never flags it
+        assert sim.nodes[2].ids.neighbors[attacker].dio_count > 1500
+        assert suspects == set()
+
+    def test_the_same_replay_is_flagged_once_the_hearer_has_six_neighbours(self):
+        sim, attacker, suspects = self.run(self.DENSE, 1)
+        assert len(sim._in_range[2]) - 1 == 6
+        assert suspects == {attacker}

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+import types
+from dataclasses import fields, replace
 
 import pytest
 
@@ -372,6 +373,30 @@ class TestRetryChains:
                 # a chain the end of the run cut short
                 assert all(ev[0] == "tx" for ev in seq)
         assert chains > 100
+
+    def test_no_event_is_pushed_past_the_run_end(self, monkeypatch):
+        # wrapped at the module's heapq name, as the benchmark counts pops
+        pushed = []  # (time, kind, attempt of a probe frame)
+        real_heapq = engine.heapq
+
+        def heappush(heap, item):
+            probe = item[2] == engine.EventKind.PROBE_DELIVERY
+            pushed.append((item[0], item[2], item[3][0].attempt if probe else 0))
+            real_heapq.heappush(heap, item)
+
+        counting = types.SimpleNamespace(**{**vars(real_heapq), "heappush": heappush})
+        monkeypatch.setattr(engine, "heapq", counting)
+        sc = make_variant(small_base(), "attack", "static", 1000)
+        engine.run(sc, 1)
+        assert max(t for t, _, _ in pushed) <= sc.duration_ms
+        requeued = [t for t, _, attempt in pushed if attempt > 1]
+        assert len(requeued) > 1000
+        # end a run 1 ms before a re-queued strobe lands: the attempt before
+        # it fails as it did, and its re-queue must be dropped
+        sc = replace(sc, duration_ms=requeued[len(requeued) // 2] - 1)
+        pushed.clear()
+        engine.run(sc, 1)
+        assert max(t for t, _, _ in pushed) <= sc.duration_ms
 
     def test_a_lost_data_frame_is_sent_again_as_attempt_two(self, monkeypatch):
         sim, events = self.run_watched(monkeypatch, seed=1)

@@ -123,6 +123,85 @@ class TestCongestion:
         assert noisy.pdr < quiet.pdr
 
 
+class ReferenceRadio:
+    """The congestion model as first written: a window id per receiver, every
+    receiver charged before any draw, and loss drawn by a separate function."""
+
+    def __init__(self, config, rng, n_nodes):
+        self.window_ms = config.window_ms
+        self.base_loss = config.base_loss
+        self.capacity = config.capacity_ms if config.congestion_model == "airtime" else None
+        self.rng = rng
+        self.window_id = [-1] * n_nodes
+        self.occupied = [0] * n_nodes
+
+    def lost(self, occupied):
+        p_loss = self.base_loss
+        capacity = self.capacity
+        if capacity is not None and occupied > capacity:
+            p_extra = min(1.0, (occupied - capacity) / capacity)
+            p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
+        return self.rng.random() < p_loss
+
+    def deliver(self, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+        win = now // self.window_ms
+        for r in receivers:
+            if self.window_id[r] == win:
+                self.occupied[r] += airtime_ms
+            else:
+                self.window_id[r] = win
+                self.occupied[r] = airtime_ms
+        if draw_for is None:
+            return [
+                r for r in receivers if tx_free_at[r] <= now and not self.lost(self.occupied[r])
+            ]
+        return (
+            draw_for in receivers
+            and tx_free_at[draw_for] <= now
+            and not self.lost(self.occupied[draw_for])
+        )
+
+
+class TestAgainstReference:
+    """``Radio.deliver`` gives the reference's results and draws, call by call."""
+
+    N = 8
+
+    @pytest.mark.parametrize(
+        "congestion,base_loss", [("airtime", 0.01), ("airtime", 0.3), ("none", 0.05)]
+    )
+    def test_random_calls_match_the_reference(self, congestion, base_loss):
+        config = RadioConfig(congestion_model=congestion, base_loss=base_loss)
+        radio = Radio(config, random.Random(7), self.N)
+        reference = ReferenceRadio(config, random.Random(7), self.N)
+        calls = random.Random(f"calls/{congestion}/{base_loss}")
+        now = 0
+        seen = {"unicast": 0, "busy": 0, "out_of_range": 0, "over_capacity": 0}
+        for _ in range(3000):
+            now += calls.choice((0, 0, 1, 7, 30, 99, 100, 250))  # never back in time
+            receivers = calls.sample(range(self.N), calls.randint(0, self.N))
+            tx_free_at = [now + calls.choice((-50, 0, 0, 0, 1, 40)) for _ in range(self.N)]
+            draw_for = None if calls.random() < 0.4 else calls.randrange(self.N)
+            airtime = calls.choice((10, 30, 100))
+            args = (now, airtime, receivers, tx_free_at, draw_for)
+            assert radio.deliver(*args) == reference.deliver(*args)
+            assert radio.rng.getstate() == reference.rng.getstate()
+            seen["unicast"] += draw_for is not None
+            seen["busy"] += any(tx_free_at[r] > now for r in receivers)
+            seen["out_of_range"] += draw_for is not None and draw_for not in receivers
+            seen["over_capacity"] += any(
+                reference.occupied[r] > config.capacity_ms for r in receivers
+            )
+        assert min(seen.values()) > 100, seen
+
+    def test_a_frame_from_an_earlier_window_is_rejected(self):
+        radio = make_radio()
+        radio.deliver(250, 10, [1], IDLE)
+        radio.deliver(299, 10, [1], IDLE)  # same window
+        with pytest.raises(AssertionError):
+            radio.deliver(199, 10, [1], IDLE)
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="tx_range_m"):

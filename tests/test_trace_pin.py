@@ -1,75 +1,47 @@
 """Pinned trace bytes: a speed-up that moves one byte of a trace fails here.
 
-Four 300 s runs of ``configs/headline.cfg``, each traced the way a
-``--trace`` batch writes it (positions on, through ``write_trace``), are
-hashed and compared with sha256 digests recorded before the hot path they
-guard was last optimised.  The fourth shrinks the detector tables to
-``node_max = 8`` so that the overflow path runs too: when it was recorded
-it emitted 4,361 ``ids_overflow``, 175 ``ids_discard``, 13 ``ids_suspect``
-and 3 ``ids_block`` records.  A change that is meant to alter the
-behaviour updates these digests and says why.
+The digests, the runs they pin and why are in ``tests/pins.py``, which also
+replays them under other interpreters (``python -m tests.pins --python PATH``).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
-from rplsim import engine, metrics
-from rplsim.config import load_batch
-from rplsim.trace import write_trace
+from rplsim import metrics
 
-HEADLINE = os.path.join(os.path.dirname(__file__), "..", "configs", "headline.cfg")
-
-PINNED = {
-    ("static-attack-r1s", 1): "a278171119e1cbe0d165f986b2976d1a607d395e89a93f922ddbccf83048eae4",
-    ("static-attack-r1s", 2): "44d011c6918cc9dd804eb5fd1dce23580177555bb985dd2b3d0cc5e47c504749",
-    ("mobile-cosec-r1s", 1): "eb00603b28d69cbc1dcbb03eb17a901da11471404ee88454bffea2e8194048e7",
-}
-OVERFLOW_PIN = "e6c7a83170f011a3892029d78bfe43a0508ed7b00e6eeda718ed8cc1f38207f1"
+from .pins import OVERFLOW_PIN, OVERFLOW_RUN, PINNED, digest, pinned_run, pinned_variants
 
 
 @pytest.fixture(scope="module")
 def run_trace():
     """``(label, seed, node_max=None) -> trace``, each run made once per module."""
-    batch = load_batch(HEADLINE)
-    batch = replace(batch, base=replace(batch.base, duration_ms=300_000))
-    variants = {label: scenario for label, scenario, _ in batch.variants()}
+    variants = pinned_variants()
     done = {}
 
     def trace(label, seed, node_max=None):
         if (label, seed, node_max) not in done:
-            scenario = replace(variants[label], trace_positions=True)
-            if node_max is not None:
-                scenario = replace(scenario, ids=replace(scenario.ids, node_max=node_max))
-            done[(label, seed, node_max)] = engine.run(scenario, seed)[1]
+            done[(label, seed, node_max)] = pinned_run(variants, label, seed, node_max)
         return done[(label, seed, node_max)]
 
     return trace
 
 
-def _digest(trace, path) -> str:
-    write_trace(trace, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 @pytest.mark.parametrize("label,seed", sorted(PINNED))
 def test_trace_bytes_are_pinned(run_trace, tmp_path, label, seed):
-    digest = _digest(run_trace(label, seed), tmp_path / f"{label}-s{seed}.tsv")
-    assert digest == PINNED[(label, seed)]
+    got = digest(run_trace(label, seed), tmp_path / f"{label}-s{seed}.tsv")
+    assert got == PINNED[(label, seed)]
 
 
 def test_overflowing_detector_trace_bytes_are_pinned(run_trace, tmp_path):
-    digest = _digest(run_trace("static-cosec-r1s", 1, 8), tmp_path / "overflow.tsv")
-    assert digest == OVERFLOW_PIN
+    got = digest(run_trace(*OVERFLOW_RUN), tmp_path / "overflow.tsv")
+    assert got == OVERFLOW_PIN
 
 
 @pytest.mark.parametrize(
-    "label,seed,node_max", [*sorted(key + (None,) for key in PINNED), ("static-cosec-r1s", 1, 8)]
+    "label,seed,node_max", [*sorted(key + (None,) for key in PINNED), OVERFLOW_RUN]
 )
 def test_one_pass_metrics_match_the_reference_functions(run_trace, label, seed, node_max):
     trace = run_trace(label, seed, node_max)
