@@ -8,23 +8,15 @@ cadence from the attack start onward.
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 
 from .rpl import DioMessage, NodeState
-
-
-class CapturePolicy(enum.Enum):
-    FIRST_HEARD = "first_heard"
-    STRONGEST = "strongest"
 
 
 @dataclass(frozen=True)
 class AttackerConfig:
     replay_interval_ms: int = 1000
     attack_start_ms: int = 90_000
-    capture_policy: CapturePolicy = CapturePolicy.FIRST_HEARD
 
     def __post_init__(self) -> None:
         if self.replay_interval_ms <= 0:
@@ -37,26 +29,12 @@ class AttackerConfig:
 class AttackerState:
     config: AttackerConfig
     captured: DioMessage | None = None
-    captured_distance: float = math.inf
     replays_sent: int = 0
 
-    def overhear(self, dio: DioMessage, sender_distance: float, now: int) -> None:
-        """Consider one overheard DIO for capture, per the capture policy.
-
-        The payload freezes as soon as replaying has begun, so the whole
-        attack replays one byte-identical advertisement.
-        """
-        if self.replays_sent:
-            return
-        policy = self.config.capture_policy
-        if policy is CapturePolicy.FIRST_HEARD:
-            if self.captured is None:
-                self.captured = dio
-                self.captured_distance = sender_distance
-        else:
-            if sender_distance < self.captured_distance:
-                self.captured = dio
-                self.captured_distance = sender_distance
+    def overhear(self, dio: DioMessage) -> None:
+        """Keep the first DIO overheard, so every replay is byte-identical."""
+        if self.captured is None:
+            self.captured = dio
 
 
 def attacker_step(node: NodeState, state: AttackerState, now: int) -> DioMessage | None:

@@ -16,10 +16,9 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, replace
 
-from .attack import AttackerConfig, CapturePolicy
+from .attack import AttackerConfig
 from .ids import IdsConfig
 from .radio import MobilityConfig, RadioConfig
-from .rpl import ObjectiveMode
 
 MODES = ("baseline", "attack", "cosec")
 MOBILITY_MODES = ("static", "mobile")
@@ -42,7 +41,6 @@ class ScenarioConfig:
     attacker: AttackerConfig = field(default_factory=AttackerConfig)
     ids: IdsConfig = field(default_factory=IdsConfig)
     ids_enabled: bool = False
-    objective: ObjectiveMode = ObjectiveMode.MRHOF_ETX
     data_interval_ms: int = 60_000
     script: tuple[tuple[int, str], ...] = ()  # (t_ms, action) scenario events
     trace_positions: bool = False
@@ -57,8 +55,11 @@ class ScenarioConfig:
         if self.topology not in ("random", "explicit"):
             raise ConfigError("topology must be 'random' or 'explicit'")
         if self.topology == "explicit":
-            given = {addr for addr, _, _ in self.positions}
-            if given != set(range(self.n_nodes)):
+            given = [addr for addr, _, _ in self.positions]
+            repeated = sorted({addr for addr in given if given.count(addr) > 1})
+            if repeated:
+                raise ConfigError(f"positions repeat node id {repeated[0]}")
+            if set(given) != set(range(self.n_nodes)):
                 raise ConfigError(
                     "positions must cover every node id 0..%d" % (self.n_nodes - 1)
                 )
@@ -162,19 +163,8 @@ def make_variant(
     return replace(base, **kwargs)
 
 
-
-
 # ---------------------------------------------------------------------------
 # on-disk format
-
-
-def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _ms(raw: str) -> int:
@@ -210,13 +200,6 @@ def _positions(raw: str) -> tuple[tuple[int, float, float], ...]:
     return tuple(out)
 
 
-def _objective(raw: str) -> ObjectiveMode:
-    objective = {"mrhof": ObjectiveMode.MRHOF_ETX, "of0": ObjectiveMode.OF0}.get(raw)
-    if objective is None:
-        raise ValueError("must be 'mrhof' or 'of0'")
-    return objective
-
-
 def _replications(raw: str) -> int:
     count = int(raw)
     if count < 1:
@@ -235,7 +218,6 @@ _FORMAT = {
         "attackers": ("n_attackers", int),
         "topology": ("topology", str),
         "positions": ("positions", _positions),
-        "objective": ("objective", _objective),
         "data_interval_s": ("data_interval_ms", _ms),
         "replications": ("replications", _replications),
         "seeds": ("seeds", _ints),
@@ -260,7 +242,6 @@ _FORMAT = {
     },
     "attacker": {
         "attack_start_s": ("attack_start_ms", _ms),
-        "capture": ("capture_policy", CapturePolicy),
     },
     "ids": {
         "safe_interval_ms": ("safe_interval_ms", int),
@@ -270,7 +251,6 @@ _FORMAT = {
         "activation_s": ("activation_delay_ms", _ms),
         "check_period_s": ("check_period_ms", _ms),
         "sigma_margin_ms": ("sigma_margin_ms", int),
-        "min_gap_mode": ("min_gap_mode", _bool),
     },
 }
 _BATCH_KEYS = ("replications", "seeds", "modes", "mobility_modes", "replay_intervals_ms")

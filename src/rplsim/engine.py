@@ -136,7 +136,6 @@ class Simulation:
                 id=node_id,
                 role=role,
                 position=positions[node_id],
-                objective=scenario.objective,
                 dodag_id=scenario.root_id,
             )
             if scenario.ids_enabled and role is not Role.ATTACKER:
@@ -301,8 +300,7 @@ class Simulation:
         for node_id in got:
             node = nodes[node_id]
             if node_id in attackers:
-                distance = math.dist(node.position, nodes[src].position)
-                attackers[node_id].overhear(dio, distance, now)
+                attackers[node_id].overhear(dio)
                 continue
             if node.ids is not None:
                 verdict = ids_mod.process_dio(node.ids, src, now)

@@ -35,8 +35,6 @@ class NeighborEntry:
     t_previous: int = 0
     t_recent: int = 0
     dio_count: int = 0
-    # smallest inter-DIO gap observed since the last malicious-check
-    min_gap_ms: int | None = None
 
 
 @dataclass(frozen=True)
@@ -48,10 +46,9 @@ class IdsConfig:
     activation_delay_ms: int = 120_000
     check_period_ms: int = 30_000
     # Replay cadences of interest (1-4 s) exceed the 500 ms safe interval, so
-    # the gap comparison uses max(safe_interval_ms, sigma_margin_ms) unless
-    # min_gap_mode compares the windowed minimum gap against the raw value.
+    # the gap comparison uses max(safe_interval_ms, sigma_margin_ms); a margin
+    # of 0 gives the literal safe-interval rule.
     sigma_margin_ms: int = 4500
-    min_gap_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.safe_interval_ms <= 0:
@@ -66,8 +63,6 @@ class IdsConfig:
 
     @property
     def gap_threshold_ms(self) -> int:
-        if self.min_gap_mode:
-            return self.safe_interval_ms
         return max(self.safe_interval_ms, self.sigma_margin_ms)
 
 
@@ -128,12 +123,9 @@ def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
     overflow = False
     entry = state.neighbors.get(src_ip)
     if entry is not None:
-        gap = now - entry.t_recent
         entry.t_previous = entry.t_recent
         entry.t_recent = now
         entry.dio_count += 1
-        if entry.min_gap_ms is None or gap < entry.min_gap_ms:
-            entry.min_gap_ms = gap
     elif len(state.neighbors) < state.config.node_max:
         state.neighbors[src_ip] = NeighborEntry(t_recent=now, dio_count=1)
     else:
@@ -166,11 +158,7 @@ def check_malicious(state: IdsState, now: int) -> tuple[list[int], list[int]]:
     for addr, entry in live:
         if not entry.dio_count > summary.upper_limit:
             continue
-        if cfg.min_gap_mode:
-            gap = entry.min_gap_ms
-        else:
-            gap = entry.t_recent - entry.t_previous
-        if gap is None or gap > cfg.gap_threshold_ms:
+        if entry.t_recent - entry.t_previous > cfg.gap_threshold_ms:
             continue
         count = state.blacklist.get(addr)
         if count is None:
@@ -187,9 +175,6 @@ def check_malicious(state: IdsState, now: int) -> tuple[list[int], list[int]]:
                 del state.neighbors[addr]
             else:
                 suspected.append(addr)
-
-    for entry in state.neighbors.values():
-        entry.min_gap_ms = None
     return suspected, blocked
 
 

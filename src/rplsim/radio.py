@@ -40,6 +40,8 @@ class RadioConfig:
             raise ValueError("congestion_model must be 'airtime' or 'none'")
         if min(self.airtime_per_msg_ms, self.capacity_per_window, self.window_ms) < 1:
             raise ValueError("airtime/capacity/window must be >= 1")
+        if self.strobe_airtime_ms < 1:
+            raise ValueError("strobe_airtime_ms must be >= 1")
 
     @property
     def capacity_ms(self) -> int:
@@ -142,6 +144,8 @@ class MobilityConfig:
             raise ValueError("need 0 < speed_min <= speed_max")
         if min(self.area) <= 0:
             raise ValueError("area must be positive")
+        if self.pause_ms < 0:
+            raise ValueError("pause_ms must be >= 0")
 
 
 class Mobility:

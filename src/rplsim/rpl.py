@@ -2,8 +2,8 @@
 
 This is not a full RFC implementation.  It models exactly what the
 surrounding experiments need: DODAG construction from DIO advertisements,
-rank computation through an objective function (ETX-weighted with hysteresis,
-or a flat hop-count variant), trickle-driven DIO emission, DIS solicitation
+rank computation through the MRHOF objective function (ETX-weighted, with a
+parent-switch hysteresis), trickle-driven DIO emission, DIS solicitation
 while parentless, link-quality probing of unconfirmed candidates, and
 upward-only data forwarding along preferred parents.  Downward DAO traffic
 exists purely as airtime.
@@ -21,7 +21,6 @@ from .ids import IdsState
 
 MIN_RANK = 128
 MRHOF_RANK_FACTOR = 128
-OF0_RANK_STEP = 256
 PARENT_SWITCH_HYSTERESIS = 192
 RANK_RESET_THRESHOLD = 256  # advertise-worthy rank move
 ETX_INIT = 1.0
@@ -33,11 +32,6 @@ class Role(enum.Enum):
     ROOT = "root"
     SENSOR = "sensor"
     ATTACKER = "attacker"
-
-
-class ObjectiveMode(enum.Enum):
-    MRHOF_ETX = "mrhof_etx"
-    OF0 = "of0"
 
 
 @dataclass(frozen=True)
@@ -100,7 +94,6 @@ class NodeState:
     id: int
     role: Role
     position: list[float]
-    objective: ObjectiveMode = ObjectiveMode.MRHOF_ETX
     rank: int | None = None
     preferred_parent: int | None = None
     candidates: dict[int, Candidate] = field(default_factory=dict)
@@ -122,9 +115,7 @@ class NodeState:
 
 def objective_function(
     candidates: list[tuple[int, int, float]],
-    mode: ObjectiveMode = ObjectiveMode.MRHOF_ETX,
     current: tuple[int, int] | None = None,
-    hysteresis: int = PARENT_SWITCH_HYSTERESIS,
 ) -> tuple[int, int] | None:
     """Pick the preferred parent and the resulting own rank.
 
@@ -134,13 +125,12 @@ def objective_function(
     current parent is given, a different candidate wins only if it beats the
     current cost by more than the hysteresis margin.
     """
-    of0 = mode is ObjectiveMode.OF0
     current_addr = None if current is None else current[0]
     best_addr = best_cost = current_cost = None
     for addr, adv_rank, etx in candidates:
-        # rank increase: a flat step (OF0) or the ETX floored at 1 (MRHOF)
+        # rank increase: the ETX floored at 1, scaled by the MRHOF factor
         etx = etx if etx > ETX_INIT else ETX_INIT
-        cost = adv_rank + (OF0_RANK_STEP if of0 else round(MRHOF_RANK_FACTOR * etx))
+        cost = adv_rank + round(MRHOF_RANK_FACTOR * etx)
         if addr == current_addr:
             current_cost = cost
         if best_cost is None or cost < best_cost or (cost == best_cost and addr < best_addr):
@@ -148,7 +138,7 @@ def objective_function(
     if best_addr is None:
         return None
     if current_cost is not None and best_addr != current_addr:
-        if best_cost >= current_cost - hysteresis:
+        if best_cost >= current_cost - PARENT_SWITCH_HYSTERESIS:
             return (current_addr, current_cost)
     return (best_addr, best_cost)
 
@@ -173,7 +163,7 @@ def select_parent(node: NodeState) -> list[tuple]:
     current = None
     if node.preferred_parent is not None and node.rank is not None:
         current = (node.preferred_parent, node.rank)
-    choice = objective_function(eligible_candidates(node), node.objective, current)
+    choice = objective_function(eligible_candidates(node), current)
     actions: list[tuple] = []
     if choice is None:
         if node.preferred_parent is not None or node.rank is not None:

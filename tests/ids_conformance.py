@@ -49,7 +49,6 @@ def scenario_insert_update():
     v = process_dio(state, 7, 1200)
     assert v.verdict is Verdict.ACCEPT
     assert snapshot(state)["neighbors"] == [[7, 1000, 1200, 2]]
-    assert state.neighbors[7].min_gap_ms == 200
     assert len(state.neighbors) == 1
 
 
@@ -116,8 +115,8 @@ def scenario_check_empty_and_single():
 def scenario_gap_guard():
     """Outlier count alone is not enough: the inter-DIO gap must be small."""
 
-    def build(last_gap):
-        state = fresh_state(node_max=8)
+    def build(last_gap, **cfg):
+        state = fresh_state(node_max=8, **cfg)
         _populate(state, FLAT_COUNTS)
         t = 1_000_000
         for k in range(50):
@@ -133,35 +132,9 @@ def scenario_gap_guard():
     assert check_malicious(fast, 2_000_000) == ([9], [])
     assert snapshot(fast)["blacklist"] == [[9, 1, False]]
 
-
-def scenario_min_gap_refinement():
-    """min_gap_mode compares the windowed minimum gap to the raw interval."""
-
-    def build(min_gap, **cfg):
-        state = fresh_state(node_max=8, **cfg)
-        _populate(state, FLAT_COUNTS)
-        t = 1_000_000
-        for k in range(50):
-            process_dio(state, 9, t + k * 5000)
-        # one tight pair mid-stream, then a big trailing gap
-        process_dio(state, 9, t + 49 * 5000 + min_gap)
-        process_dio(state, 9, t + 49 * 5000 + min_gap + 50_000)
-        return state
-
-    hit = build(500, min_gap_mode=True)
-    assert check_malicious(hit, 2_000_000) == ([9], [])
-    miss = build(501, min_gap_mode=True)
-    assert check_malicious(miss, 2_000_000) == ([], [])
-
-    # the windowed minimum resets after every check, so a silent-but-still-
-    # outlying neighbor has no gap evidence at the next check
-    assert hit.neighbors[9].min_gap_ms is None
-    assert check_malicious(hit, 2_100_000) == ([], [])
-
-    # literal 500 ms reproduction mode: margin collapsed to the raw sigma
-    lit = build(500, sigma_margin_ms=0)
-    assert lit.config.gap_threshold_ms == 500
-    assert check_malicious(lit, 2_000_000) == ([], [])  # last gap is 50 s
+    # literal 500 ms rule: the margin collapsed to the raw safe interval
+    assert check_malicious(build(501, sigma_margin_ms=0), 2_000_000) == ([], [])
+    assert check_malicious(build(500, sigma_margin_ms=0), 2_000_000) == ([9], [])
 
 
 def scenario_escalation_to_block():
@@ -293,7 +266,6 @@ def scenario_config_validation():
             raise AssertionError(f"expected rejection of {bad}")
     assert IdsConfig().gap_threshold_ms == 4500
     assert IdsConfig(sigma_margin_ms=100).gap_threshold_ms == 500
-    assert IdsConfig(min_gap_mode=True, sigma_margin_ms=9000).gap_threshold_ms == 500
 
 
 SCENARIOS = [
@@ -304,7 +276,6 @@ SCENARIOS = [
     scenario_check_clean_sample,
     scenario_check_empty_and_single,
     scenario_gap_guard,
-    scenario_min_gap_refinement,
     scenario_escalation_to_block,
     scenario_blocked_record_guard,
     scenario_blacklist_overflow,

@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 
 from rplsim import engine
-from rplsim.attack import AttackerConfig, AttackerState, CapturePolicy, attacker_step
+from rplsim.attack import AttackerConfig, AttackerState, attacker_step
 from rplsim.config import ScenarioConfig
 from rplsim.radio import RadioConfig
 from rplsim.rpl import DioMessage, NodeState, Role
 
 
-def make_attacker(policy=CapturePolicy.FIRST_HEARD, interval=1000):
-    cfg = AttackerConfig(replay_interval_ms=interval, capture_policy=policy)
+def make_attacker(interval=1000):
+    cfg = AttackerConfig(replay_interval_ms=interval)
     node = NodeState(id=9, role=Role.ATTACKER, position=[0.0, 0.0])
     return node, AttackerState(cfg)
 
@@ -29,23 +29,16 @@ class TestCapture:
 
     def test_first_heard_wins(self):
         node, state = make_attacker()
-        state.overhear(DIO_A, 30.0, 1000)
-        state.overhear(DIO_B, 5.0, 2000)
+        state.overhear(DIO_A)
+        state.overhear(DIO_B)
         out = attacker_step(node, state, 90_000)
         assert out.rank == DIO_A.rank
 
-    def test_strongest_prefers_closest(self):
-        node, state = make_attacker(policy=CapturePolicy.STRONGEST)
-        state.overhear(DIO_A, 30.0, 1000)
-        state.overhear(DIO_B, 5.0, 2000)
-        out = attacker_step(node, state, 90_000)
-        assert out.rank == DIO_B.rank
-
     def test_payload_frozen_once_replaying(self):
-        node, state = make_attacker(policy=CapturePolicy.STRONGEST)
-        state.overhear(DIO_A, 30.0, 1000)
+        node, state = make_attacker()
+        state.overhear(DIO_A)
         first = attacker_step(node, state, 90_000)
-        state.overhear(DIO_B, 1.0, 91_000)
+        state.overhear(DIO_B)
         second = attacker_step(node, state, 91_000)
         assert (first.rank, first.version, first.dodag_id) == (
             second.rank,
@@ -55,7 +48,7 @@ class TestCapture:
 
     def test_replay_is_non_spoofed(self):
         node, state = make_attacker()
-        state.overhear(DIO_A, 10.0, 1000)
+        state.overhear(DIO_A)
         out = attacker_step(node, state, 90_000)
         assert out.src == node.id != DIO_A.src
 
@@ -63,7 +56,7 @@ class TestCapture:
 class TestTiming:
     def test_silent_before_attack_start(self):
         node, state = make_attacker()
-        state.overhear(DIO_A, 10.0, 1000)
+        state.overhear(DIO_A)
         assert attacker_step(node, state, 89_999) is None
         assert attacker_step(node, state, 90_000) is not None
 

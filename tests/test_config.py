@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import configparser
 import operator
 import os
 
 import pytest
 
-from rplsim.attack import CapturePolicy
 from rplsim.config import (
     BatchConfig,
     ConfigError,
@@ -16,9 +16,9 @@ from rplsim.config import (
     make_variant,
 )
 from rplsim.ids import IdsConfig
-from rplsim.rpl import ObjectiveMode
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 FULL_CONFIG = """
 [scenario]
@@ -27,7 +27,6 @@ duration_s = 600
 sensors = 8
 attackers = 3
 topology = random
-objective = of0
 data_interval_s = 30
 replications = 3
 modes = baseline cosec
@@ -51,7 +50,6 @@ pause_s = 2
 
 [attacker]
 attack_start_s = 45
-capture = strongest
 
 [ids]
 safe_interval_ms = 400
@@ -60,7 +58,6 @@ delta = 1.5
 activation_s = 60
 check_period_s = 15
 sigma_margin_ms = 5000
-min_gap_mode = true
 """
 
 POSITIONS = " ".join(f"{i}:{i}.5,{20 - i}" for i in range(21))
@@ -74,7 +71,6 @@ EVERY_KEY = [
     ("scenario", "attackers", "2", "base.n_attackers", 2),
     ("scenario", "topology", "explicit", "base.topology", "explicit"),
     ("scenario", "positions", "0:1,2 1:3.5,4", "base.positions", ((0, 1.0, 2.0), (1, 3.5, 4.0))),
-    ("scenario", "objective", "of0", "base.objective", ObjectiveMode.OF0),
     ("scenario", "data_interval_s", "7.5", "base.data_interval_ms", 7_500),
     ("scenario", "replications", "3", "seeds", (1, 2, 3)),
     ("scenario", "seeds", "5 7", "seeds", (5, 7)),
@@ -93,7 +89,6 @@ EVERY_KEY = [
     ("mobility", "area_m", "100 80", "base.mobility.area", (100.0, 80.0)),
     ("mobility", "pause_s", "2.5", "base.mobility.pause_ms", 2_500),
     ("attacker", "attack_start_s", "45", "base.attacker.attack_start_ms", 45_000),
-    ("attacker", "capture", "strongest", "base.attacker.capture_policy", CapturePolicy.STRONGEST),
     ("ids", "safe_interval_ms", "400", "base.ids.safe_interval_ms", 400),
     ("ids", "block_threshold", "3", "base.ids.block_threshold", 3),
     ("ids", "delta", "1.5", "base.ids.fence_delta", 1.5),
@@ -101,7 +96,6 @@ EVERY_KEY = [
     ("ids", "activation_s", "60", "base.ids.activation_delay_ms", 60_000),
     ("ids", "check_period_s", "15", "base.ids.check_period_ms", 15_000),
     ("ids", "sigma_margin_ms", "5000", "base.ids.sigma_margin_ms", 5_000),
-    ("ids", "min_gap_mode", "true", "base.ids.min_gap_mode", True),
 ]
 # keys that are only valid together with another one
 CONTEXT = {"topology": f"positions = {POSITIONS}\n"}
@@ -120,7 +114,6 @@ class TestLoadBatch:
         assert base.name == "demo"
         assert base.duration_ms == 600_000
         assert base.n_sensors == 8 and base.n_attackers == 3
-        assert base.objective is ObjectiveMode.OF0
         assert base.data_interval_ms == 30_000
         assert base.radio.tx_range_m == 60
         assert base.radio.congestion_model == "none"
@@ -128,7 +121,7 @@ class TestLoadBatch:
         assert base.mobility.pause_ms == 2000
         assert base.attacker.attack_start_ms == 45_000
         assert base.ids.block_threshold == 3
-        assert base.ids.min_gap_mode is True
+        assert base.ids.sigma_margin_ms == 5000
         assert batch.modes == ("baseline", "cosec")
         assert batch.seeds == (1, 2, 3)
         assert batch.replay_intervals_ms == (1000, 3000)
@@ -164,7 +157,20 @@ class TestLoadBatch:
 
         listed = {(section, key) for section, key, *_ in EVERY_KEY}
         assert listed == {(section, key) for section in _FORMAT for key in _FORMAT[section]}
-        assert len(listed) == 34
+        assert len(listed) == 31
+
+    def test_readme_block_lists_every_key_at_its_default(self, tmp_path):
+        from rplsim.config import _FORMAT
+
+        with open(README) as fh:
+            block = fh.read().split("## Config format", 1)[1].split("```\n", 2)[1]
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read_string(block)
+        listed = {section: list(parser[section]) for section in parser.sections()}
+        assert listed == {section: list(keys) for section, keys in _FORMAT.items()}
+        # the shown values are the defaults; only the seed list is an example
+        defaults = ScenarioConfig(ids=IdsConfig(node_max=21))
+        assert load_batch(write_cfg(tmp_path, block)) == BatchConfig(base=defaults, seeds=(1, 2, 3))
 
     def test_seconds_round_to_the_nearest_millisecond(self, tmp_path):
         text = "[scenario]\nduration_s = 32.3\nmodes = attack\nreplay_intervals_s = 2.01\n"
@@ -207,9 +213,16 @@ class TestLoadBatch:
         with pytest.raises(ConfigError, match="attackers must not exceed sensors"):
             load_batch(write_cfg(tmp_path, text))
 
-    def test_bad_objective_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="objective"):
-            load_batch(write_cfg(tmp_path, "[scenario]\nobjective = best\n"))
+    def test_retired_knobs_are_unknown_keys(self, tmp_path):
+        # MRHOF, first-heard capture and the last-gap rule are the only behaviours
+        for section, key, value in (
+            ("scenario", "objective", "mrhof"),
+            ("attacker", "capture", "first_heard"),
+            ("ids", "min_gap_mode", "false"),
+        ):
+            text = f"[{section}]\n{key} = {value}\n"
+            with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key: {key}$"):
+                load_batch(write_cfg(tmp_path, text))
 
 
 class TestVariants:
@@ -325,6 +338,15 @@ class TestScenarioValidation:
                 topology="explicit",
                 positions=((0, 0.0, 0.0),),
             )
+
+    def test_explicit_positions_must_not_repeat_an_id(self, tmp_path):
+        # every id is covered, but node 0 would silently land on its last entry
+        text = (
+            "[scenario]\nsensors = 2\nattackers = 0\ntopology = explicit\n"
+            "positions = 0:75,75 0:10,10 1:20,20 2:30,30\n"
+        )
+        with pytest.raises(ConfigError, match="positions repeat node id 0$"):
+            load_batch(write_cfg(tmp_path, text))
 
     def test_address_layout(self):
         sc = ScenarioConfig(name="x", n_sensors=3, n_attackers=2)

@@ -46,7 +46,6 @@ def test_config_validation():
 def test_gap_threshold_defaults():
     assert IdsConfig().gap_threshold_ms == 4500
     assert IdsConfig(sigma_margin_ms=0).gap_threshold_ms == 500
-    assert IdsConfig(min_gap_mode=True).gap_threshold_ms == 500
 
 
 # Event alphabet for random traces: (sender, gap to previous event, arm?).

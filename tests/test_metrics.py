@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import pytest
 
@@ -126,6 +127,15 @@ class TestAggregation:
         assert agg.n == 3
         assert agg.mean == pytest.approx(2.0)
         assert agg.ci95 == pytest.approx(4.303 * 1.0 / math.sqrt(3))
+
+    @pytest.mark.parametrize(
+        "df,t", [(30, 2.042), (31, 2.040), (39, 2.023), (60, 2.000), (120, 1.980), (1000, 1.962)]
+    )
+    def test_t_value_above_the_table(self, df, t):
+        # exact two-sided 95% quantiles, rounded like the df <= 30 table
+        data = [float(i % 2) for i in range(df + 1)]
+        expected = t * statistics.stdev(data) / math.sqrt(df + 1)
+        assert aggregate(data).ci95 == pytest.approx(expected)
 
     def test_none_values_skipped(self):
         agg = aggregate([1.0, None, 3.0])

@@ -214,6 +214,11 @@ class TestConfigValidation:
             MobilityConfig(speed_min=0)
         with pytest.raises(ValueError, match="model"):
             MobilityConfig(model="teleport")
+        # a strobe that ends before it starts would be scheduled in the past
+        with pytest.raises(ValueError, match="strobe_airtime_ms"):
+            RadioConfig(strobe_airtime_ms=-50)
+        with pytest.raises(ValueError, match="pause_ms"):
+            MobilityConfig(pause_ms=-5000)
 
 
 class TestMobility:

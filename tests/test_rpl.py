@@ -11,7 +11,6 @@ from rplsim.rpl import (
     Candidate,
     DioMessage,
     NodeState,
-    ObjectiveMode,
     Role,
     TrickleState,
     global_repair,
@@ -53,10 +52,6 @@ class TestObjectiveFunction:
         # a strictly-beyond-margin win does switch
         got = objective_function([(1, 512, 1.0), (2, 256, 1.0)], current=(1, 640))
         assert got == (2, 384)
-
-    def test_of0_flat_step(self):
-        got = objective_function([(2, 128, 3.0)], mode=ObjectiveMode.OF0)
-        assert got == (2, 128 + 256)
 
     def test_etx_weights_mrhof_cost(self):
         # same advertised rank; the cleaner link wins despite higher address
