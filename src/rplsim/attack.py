@@ -29,7 +29,6 @@ class AttackerConfig:
 class AttackerState:
     config: AttackerConfig
     captured: DioMessage | None = None
-    replays_sent: int = 0
 
     def overhear(self, dio: DioMessage) -> None:
         """Keep the first DIO overheard, so every replay is byte-identical."""
@@ -45,7 +44,6 @@ def attacker_step(node: NodeState, state: AttackerState, now: int) -> DioMessage
     """
     if now < state.config.attack_start_ms or state.captured is None:
         return None
-    state.replays_sent += 1
     captured = state.captured
     return DioMessage(
         src=node.id,

@@ -34,7 +34,7 @@ class ScenarioConfig:
     duration_ms: int = 1_800_000
     n_sensors: int = 16
     n_attackers: int = 4
-    topology: str = "random"  # "random" or "explicit"
+    # (id, x, y) per node id; when given, the layout, else a random one
     positions: tuple[tuple[int, float, float], ...] = ()
     radio: RadioConfig = field(default_factory=RadioConfig)
     mobility: MobilityConfig = field(default_factory=MobilityConfig)
@@ -52,9 +52,7 @@ class ScenarioConfig:
             raise ConfigError("sensors/attackers must be >= 0")
         if self.n_attackers > self.n_sensors:
             raise ConfigError("attackers must not exceed sensors")
-        if self.topology not in ("random", "explicit"):
-            raise ConfigError("topology must be 'random' or 'explicit'")
-        if self.topology == "explicit":
+        if self.positions:
             given = [addr for addr, _, _ in self.positions]
             repeated = sorted({addr for addr in given if given.count(addr) > 1})
             if repeated:
@@ -94,10 +92,15 @@ class BatchConfig:
     def __post_init__(self) -> None:
         for axis, allowed in (("modes", MODES), ("mobility_modes", MOBILITY_MODES)):
             values = getattr(self, axis)
+            if not values:
+                raise ConfigError(f"{axis} must not be empty")
             if not set(values) <= set(allowed) or len(set(values)) != len(values):
                 raise ConfigError(f"{axis} must be distinct values among {allowed}")
-        if self.base.n_attackers == 0 and set(self.modes) - {"baseline"}:
-            raise ConfigError("attack and cosec modes need attackers > 0")
+        if set(self.modes) - {"baseline"}:
+            if self.base.n_attackers == 0:
+                raise ConfigError("attack and cosec modes need attackers > 0")
+            if not self.replay_intervals_ms:
+                raise ConfigError("replay_intervals must not be empty with attack or cosec")
         if not self.seeds:
             raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -154,6 +157,8 @@ def make_variant(
     if mode == "baseline":
         kwargs["n_attackers"] = 0
         kwargs["ids_enabled"] = False
+        # an explicit layout keeps only the root's and the sensors' places
+        kwargs["positions"] = tuple(p for p in base.positions if p[0] <= base.n_sensors)
     else:
         kwargs["ids_enabled"] = mode == "cosec"
         if replay_interval_ms:
@@ -216,7 +221,6 @@ _FORMAT = {
         "duration_s": ("duration_ms", _ms),
         "sensors": ("n_sensors", int),
         "attackers": ("n_attackers", int),
-        "topology": ("topology", str),
         "positions": ("positions", _positions),
         "data_interval_s": ("data_interval_ms", _ms),
         "replications": ("replications", _replications),
@@ -244,13 +248,12 @@ _FORMAT = {
         "attack_start_s": ("attack_start_ms", _ms),
     },
     "ids": {
-        "safe_interval_ms": ("safe_interval_ms", int),
+        "gap_threshold_ms": ("gap_threshold_ms", int),
         "block_threshold": ("block_threshold", int),
         "delta": ("fence_delta", float),
         "node_max": ("node_max", int),
         "activation_s": ("activation_delay_ms", _ms),
         "check_period_s": ("check_period_ms", _ms),
-        "sigma_margin_ms": ("sigma_margin_ms", int),
     },
 }
 _BATCH_KEYS = ("replications", "seeds", "modes", "mobility_modes", "replay_intervals_ms")

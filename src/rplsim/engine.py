@@ -146,7 +146,7 @@ class Simulation:
 
     def _build_positions(self) -> dict[int, list[float]]:
         scenario = self.scenario
-        if scenario.topology == "explicit":
+        if scenario.positions:
             return {addr: [x, y] for addr, x, y in scenario.positions}
         w, h = scenario.mobility.area
         rng = self.rng_topology
@@ -280,7 +280,7 @@ class Simulation:
                 self._receive_dio(got, frame.payload)
             else:  # dis: attackers ignore solicitations
                 for node in (self.nodes[i] for i in got if i not in self.attackers):
-                    self._apply_actions(node, rpl.handle_dis(node, self.now))
+                    self._apply_actions(node, rpl.handle_dis(node))
             return
         # an attacker target consumed its loss draw but never acknowledges
         acked = got and dst not in self.attackers
@@ -314,7 +314,7 @@ class Simulation:
                         trace.append((now, node_id, "ids_block", subject))
                     if verdict.overflow:
                         trace.append((now, node_id, "ids_overflow", src))
-            self._apply_actions(node, rpl.handle_dio(node, dio, now))
+            self._apply_actions(node, rpl.handle_dio(node, dio))
 
     def _apply_actions(self, node: NodeState, actions: list[tuple]) -> None:
         for action in actions:
@@ -447,7 +447,7 @@ class Simulation:
         if generation != ts.generation:
             return  # superseded by a reset
         if node.joined:
-            if ts.counter < ts.redundancy_k:
+            if ts.counter < rpl.TRICKLE_K:
                 dio = DioMessage(
                     src=node.id,
                     dodag_id=node.dodag_id,

@@ -26,6 +26,11 @@ RANK_RESET_THRESHOLD = 256  # advertise-worthy rank move
 ETX_INIT = 1.0
 ETX_ALPHA = 0.2  # EWMA weight of the newest link sample
 ETX_FAIL_SAMPLE = 4.0
+# Trickle (RFC 6206): Imin, the doublings up to Imax, redundancy constant k
+TRICKLE_IMIN_MS = 4096
+TRICKLE_DOUBLINGS = 8
+TRICKLE_IMAX_MS = TRICKLE_IMIN_MS << TRICKLE_DOUBLINGS
+TRICKLE_K = 10
 
 
 class Role(enum.Enum):
@@ -46,34 +51,25 @@ class DioMessage:
 class TrickleState:
     """Simplified trickle: one fire per interval, doubling after each fire."""
 
-    i_min_ms: int = 4096
-    doublings: int = 8
-    redundancy_k: int = 10
-    interval_ms: int = 4096
-    fire_at: int = 0
+    interval_ms: int = TRICKLE_IMIN_MS
     counter: int = 0
     generation: int = 0
-
-    @property
-    def max_interval_ms(self) -> int:
-        return self.i_min_ms << self.doublings
 
 
 def trickle_schedule(ts: TrickleState, now: int, rng) -> int:
     """Pick the fire point in the second half of the current interval."""
-    ts.fire_at = now + ts.interval_ms // 2 + int(rng.random() * (ts.interval_ms / 2))
     ts.generation += 1
-    return ts.fire_at
+    return now + ts.interval_ms // 2 + int(rng.random() * (ts.interval_ms / 2))
 
 
 def trickle_reset(ts: TrickleState, now: int, rng) -> int:
-    ts.interval_ms = ts.i_min_ms
+    ts.interval_ms = TRICKLE_IMIN_MS
     ts.counter = 0
     return trickle_schedule(ts, now, rng)
 
 
 def trickle_after_fire(ts: TrickleState, now: int, rng) -> int:
-    ts.interval_ms = min(ts.interval_ms * 2, ts.max_interval_ms)
+    ts.interval_ms = min(ts.interval_ms * 2, TRICKLE_IMAX_MS)
     ts.counter = 0
     return trickle_schedule(ts, now, rng)
 
@@ -187,7 +183,7 @@ def select_parent(node: NodeState) -> list[tuple]:
     return actions
 
 
-def handle_dio(node: NodeState, dio: DioMessage, now: int) -> list[tuple]:
+def handle_dio(node: NodeState, dio: DioMessage) -> list[tuple]:
     """Digest one accepted DIO; returns protocol actions for the engine.
 
     Stale-version DIOs and self-echoes are ignored.  A newer version wipes
@@ -230,7 +226,7 @@ def handle_dio(node: NodeState, dio: DioMessage, now: int) -> list[tuple]:
     return actions
 
 
-def handle_dis(node: NodeState, now: int) -> list[tuple]:
+def handle_dis(node: NodeState) -> list[tuple]:
     """A solicitation from a neighbor asks for a fast DIO."""
     if node.role is Role.ATTACKER or not node.joined:
         return []

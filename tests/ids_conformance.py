@@ -97,18 +97,18 @@ def scenario_check_clean_sample():
     """No count above the fence: the check is a no-op either way."""
     state = fresh_state(node_max=8)
     _populate(state, [9, 1, 3, 6, 5, 1])
-    assert check_malicious(state, 200_000) == ([], [])
+    assert check_malicious(state) == ([], [])
     assert snapshot(state)["blacklist"] == []
 
 
 def scenario_check_empty_and_single():
     """Empty table is a no-op; a lone neighbor can never exceed its fence."""
     state = fresh_state(node_max=4)
-    assert check_malicious(state, 1000) == ([], [])
+    assert check_malicious(state) == ([], [])
 
     for k in range(500):
         process_dio(state, 6, 1000 + k * 100)
-    assert check_malicious(state, 60_000) == ([], [])
+    assert check_malicious(state) == ([], [])
     assert state.blacklist == {}
 
 
@@ -126,15 +126,15 @@ def scenario_gap_guard():
 
     # counts [3,4,5,3,4,51]: q1 3, q3 5, iqr 2, fence 7 -> 51 exceeds
     slow = build(4501)
-    assert check_malicious(slow, 2_000_000) == ([], [])
+    assert check_malicious(slow) == ([], [])
 
     fast = build(4500)
-    assert check_malicious(fast, 2_000_000) == ([9], [])
+    assert check_malicious(fast) == ([9], [])
     assert snapshot(fast)["blacklist"] == [[9, 1, False]]
 
-    # literal 500 ms rule: the margin collapsed to the raw safe interval
-    assert check_malicious(build(501, sigma_margin_ms=0), 2_000_000) == ([], [])
-    assert check_malicious(build(500, sigma_margin_ms=0), 2_000_000) == ([9], [])
+    # the paper's literal 500 ms rule
+    assert check_malicious(build(501, gap_threshold_ms=500)) == ([], [])
+    assert check_malicious(build(500, gap_threshold_ms=500)) == ([9], [])
 
 
 def scenario_escalation_to_block():
@@ -190,7 +190,7 @@ def scenario_blocked_record_guard():
 
     # counts [2,3,3,4,4,500]: fence 5, so 9 is flagged with a 200 ms gap,
     # but its record is already at the threshold and stays untouched
-    assert check_malicious(state, 2000) == ([], [])
+    assert check_malicious(state) == ([], [])
     assert snapshot(state)["blacklist"] == [[9, 5, True]]
 
 
@@ -203,7 +203,7 @@ def scenario_blacklist_overflow():
         process_dio(state, 9, t + k * 200)
     state.blacklist = {100 + i: 1 for i in range(6)}
 
-    assert check_malicious(state, 2_000_000) == ([], [])
+    assert check_malicious(state) == ([], [])
     assert state.overflow_count == 1
     assert len(state.blacklist) == 6
 
@@ -220,9 +220,9 @@ def scenario_remove_entry():
     t += 50 * 200
     assert process_dio(state, newcomer, t + 50).overflow  # full: not tracked
 
-    assert check_malicious(state, t + 100) == ([attacker], [])
+    assert check_malicious(state) == ([attacker], [])
     process_dio(state, attacker, t + 200)
-    assert check_malicious(state, t + 200) == ([], [attacker])
+    assert check_malicious(state) == ([], [attacker])
     assert sorted(state.neighbors) == [1, 2, 3, 4, 5]
     assert snapshot(state)["blacklist"] == [[attacker, 2, True]]
 
@@ -250,9 +250,10 @@ def scenario_tick_gating():
 
 
 def scenario_config_validation():
-    """Every config bound is enforced, and the gap threshold composes."""
+    """Every config bound is enforced, and the gap threshold defaults to 4.5 s."""
     for bad in (
-        dict(safe_interval_ms=0),
+        dict(gap_threshold_ms=0),
+        dict(gap_threshold_ms=-1),
         dict(block_threshold=0),
         dict(block_threshold=1),
         dict(fence_delta=0.0),
@@ -265,7 +266,6 @@ def scenario_config_validation():
         else:
             raise AssertionError(f"expected rejection of {bad}")
     assert IdsConfig().gap_threshold_ms == 4500
-    assert IdsConfig(sigma_margin_ms=100).gap_threshold_ms == 500
 
 
 SCENARIOS = [

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from rplsim import engine, metrics
+from rplsim import engine, metrics, rpl
 from rplsim.config import ScenarioConfig, make_variant
 from rplsim.outliers import compute_quartiles, find_outliers
 from rplsim.radio import RadioConfig
@@ -311,7 +311,7 @@ def test_criterion_9_property_suites():
         assert not [rec for rec in trace if rec[2] == "loop_drop"]
         for node in sim.nodes.values():
             ts = node.trickle
-            assert ts.i_min_ms <= ts.interval_ms <= ts.max_interval_ms
+            assert rpl.TRICKLE_IMIN_MS <= ts.interval_ms <= rpl.TRICKLE_IMAX_MS
             if node.role is Role.SENSOR:
                 assert node.joined
                 parent = node.preferred_parent

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from rplsim import engine
 from rplsim.config import (
     BatchConfig,
     ConfigError,
@@ -26,7 +27,6 @@ name = demo
 duration_s = 600
 sensors = 8
 attackers = 3
-topology = random
 data_interval_s = 30
 replications = 3
 modes = baseline cosec
@@ -52,15 +52,16 @@ pause_s = 2
 attack_start_s = 45
 
 [ids]
-safe_interval_ms = 400
+gap_threshold_ms = 5000
 block_threshold = 3
 delta = 1.5
 activation_s = 60
 check_period_s = 15
-sigma_margin_ms = 5000
 """
 
+# one place per node id of the default scenario (gateway, 16 sensors, 4 attackers)
 POSITIONS = " ".join(f"{i}:{i}.5,{20 - i}" for i in range(21))
+LAYOUT = tuple((i, i + 0.5, 20.0 - i) for i in range(21))
 
 # (section, key, value, where it lands, parsed value): every INI key once,
 # each set to a value that differs from its default
@@ -69,8 +70,7 @@ EVERY_KEY = [
     ("scenario", "duration_s", "12.5", "base.duration_ms", 12_500),
     ("scenario", "sensors", "9", "base.n_sensors", 9),
     ("scenario", "attackers", "2", "base.n_attackers", 2),
-    ("scenario", "topology", "explicit", "base.topology", "explicit"),
-    ("scenario", "positions", "0:1,2 1:3.5,4", "base.positions", ((0, 1.0, 2.0), (1, 3.5, 4.0))),
+    ("scenario", "positions", POSITIONS, "base.positions", LAYOUT),
     ("scenario", "data_interval_s", "7.5", "base.data_interval_ms", 7_500),
     ("scenario", "replications", "3", "seeds", (1, 2, 3)),
     ("scenario", "seeds", "5 7", "seeds", (5, 7)),
@@ -89,16 +89,13 @@ EVERY_KEY = [
     ("mobility", "area_m", "100 80", "base.mobility.area", (100.0, 80.0)),
     ("mobility", "pause_s", "2.5", "base.mobility.pause_ms", 2_500),
     ("attacker", "attack_start_s", "45", "base.attacker.attack_start_ms", 45_000),
-    ("ids", "safe_interval_ms", "400", "base.ids.safe_interval_ms", 400),
+    ("ids", "gap_threshold_ms", "400", "base.ids.gap_threshold_ms", 400),
     ("ids", "block_threshold", "3", "base.ids.block_threshold", 3),
     ("ids", "delta", "1.5", "base.ids.fence_delta", 1.5),
     ("ids", "node_max", "40", "base.ids.node_max", 40),
     ("ids", "activation_s", "60", "base.ids.activation_delay_ms", 60_000),
     ("ids", "check_period_s", "15", "base.ids.check_period_ms", 15_000),
-    ("ids", "sigma_margin_ms", "5000", "base.ids.sigma_margin_ms", 5_000),
 ]
-# keys that are only valid together with another one
-CONTEXT = {"topology": f"positions = {POSITIONS}\n"}
 
 
 def write_cfg(tmp_path, text, name="demo.cfg"):
@@ -121,7 +118,7 @@ class TestLoadBatch:
         assert base.mobility.pause_ms == 2000
         assert base.attacker.attack_start_ms == 45_000
         assert base.ids.block_threshold == 3
-        assert base.ids.sigma_margin_ms == 5000
+        assert base.ids.gap_threshold_ms == 5000
         assert batch.modes == ("baseline", "cosec")
         assert batch.seeds == (1, 2, 3)
         assert batch.replay_intervals_ms == (1000, 3000)
@@ -147,7 +144,7 @@ class TestLoadBatch:
         "section,key,value,where,expected", EVERY_KEY, ids=[row[1] for row in EVERY_KEY]
     )
     def test_every_key_lands_in_its_field(self, tmp_path, section, key, value, where, expected):
-        text = f"[{section}]\n{key} = {value}\n{CONTEXT.get(key, '')}"
+        text = f"[{section}]\n{key} = {value}\n"
         get = operator.attrgetter(where)
         assert get(load_batch(write_cfg(tmp_path, text))) == expected
         assert get(load_batch(write_cfg(tmp_path, "", "empty.cfg"))) != expected
@@ -157,7 +154,7 @@ class TestLoadBatch:
 
         listed = {(section, key) for section, key, *_ in EVERY_KEY}
         assert listed == {(section, key) for section in _FORMAT for key in _FORMAT[section]}
-        assert len(listed) == 31
+        assert len(listed) == 29
 
     def test_readme_block_lists_every_key_at_its_default(self, tmp_path):
         from rplsim.config import _FORMAT
@@ -204,6 +201,11 @@ class TestLoadBatch:
         with pytest.raises(ConfigError, match=r"\[radio\] tx_range_m"):
             load_batch(write_cfg(tmp_path, "[radio]\ntx_range_m = wide\n"))
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_gap_threshold_below_one_rejected(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="^gap_threshold_ms must be >= 1$"):
+            load_batch(write_cfg(tmp_path, f"[ids]\ngap_threshold_ms = {value}\n"))
+
     def test_block_threshold_below_two_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="block_threshold must be >= 2"):
             load_batch(write_cfg(tmp_path, "[ids]\nblock_threshold = 1\n"))
@@ -214,11 +216,16 @@ class TestLoadBatch:
             load_batch(write_cfg(tmp_path, text))
 
     def test_retired_knobs_are_unknown_keys(self, tmp_path):
-        # MRHOF, first-heard capture and the last-gap rule are the only behaviours
+        # MRHOF, first-heard capture and the last-gap rule are the only
+        # behaviours; positions alone choose the layout, and one setting
+        # (gap_threshold_ms) the gap test
         for section, key, value in (
             ("scenario", "objective", "mrhof"),
             ("attacker", "capture", "first_heard"),
             ("ids", "min_gap_mode", "false"),
+            ("scenario", "topology", "explicit"),
+            ("ids", "safe_interval_ms", "500"),
+            ("ids", "sigma_margin_ms", "4500"),
         ):
             text = f"[{section}]\n{key} = {value}\n"
             with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key: {key}$"):
@@ -308,7 +315,42 @@ class TestVariants:
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
     def test_shipped_configs_load(self, name):
-        load_batch(os.path.join(CONFIGS, name))
+        base = load_batch(os.path.join(CONFIGS, name)).base
+        assert base.ids.gap_threshold_ms == 4500
+        assert base.positions == ()
+
+    @pytest.mark.parametrize(
+        "text,axis",
+        [
+            ("modes =\n", "modes"),
+            ("mobility_modes =\n", "mobility_modes"),
+            ("modes = attack cosec\nreplay_intervals_s =\n", "replay_intervals"),
+        ],
+    )
+    def test_empty_axes_rejected(self, tmp_path, text, axis):
+        # an empty axis would run no job and still write header-only results
+        with pytest.raises(ConfigError, match=f"^{axis} must not be empty"):
+            load_batch(write_cfg(tmp_path, "[scenario]\n" + text))
+
+    def test_baseline_alone_needs_no_replay_intervals(self, tmp_path):
+        text = "[scenario]\nmodes = baseline\nreplay_intervals_s =\n"
+        batch = load_batch(write_cfg(tmp_path, text))
+        assert [label for label, _, _ in batch.variants()] == ["static-baseline", "mobile-baseline"]
+
+    def test_explicit_layout_runs_its_baseline(self, tmp_path):
+        # the baseline drops the attackers, so it keeps only the other places
+        text = (
+            "[scenario]\nsensors = 2\nattackers = 1\nmobility_modes = static\n"
+            "replay_intervals_s = 1\npositions = 0:0,0 1:30,0 2:30,20 3:60,10\n"
+        )
+        variants = {label: sc for label, sc, _ in load_batch(write_cfg(tmp_path, text)).variants()}
+        layout = ((0, 0.0, 0.0), (1, 30.0, 0.0), (2, 30.0, 20.0))
+        assert variants["static-baseline"].positions == layout
+        assert variants["static-attack-r1s"].positions == layout + ((3, 60.0, 10.0),)
+        sim = engine.Simulation(variants["static-baseline"], 1)
+        assert {i: node.position for i, node in sim.nodes.items()} == {
+            i: [x, y] for i, x, y in layout
+        }
 
     def test_make_variant_semantics(self):
         base = ScenarioConfig(name="v")
@@ -329,20 +371,27 @@ class TestVariants:
 
 
 class TestScenarioValidation:
+    def test_positions_alone_place_every_node(self, tmp_path):
+        text = (
+            "[scenario]\nsensors = 2\nattackers = 1\n"
+            "positions = 0:75,75 1:20,30 2:5,140 3:130,10\n"
+        )
+        sim = engine.Simulation(load_batch(write_cfg(tmp_path, text)).base, 1)
+        assert {i: node.position for i, node in sim.nodes.items()} == {
+            0: [75.0, 75.0],
+            1: [20.0, 30.0],
+            2: [5.0, 140.0],
+            3: [130.0, 10.0],
+        }
+
     def test_explicit_positions_must_cover_all_nodes(self):
         with pytest.raises(ConfigError, match="positions must cover"):
-            ScenarioConfig(
-                name="x",
-                n_sensors=2,
-                n_attackers=0,
-                topology="explicit",
-                positions=((0, 0.0, 0.0),),
-            )
+            ScenarioConfig(name="x", n_sensors=2, n_attackers=0, positions=((0, 0.0, 0.0),))
 
     def test_explicit_positions_must_not_repeat_an_id(self, tmp_path):
         # every id is covered, but node 0 would silently land on its last entry
         text = (
-            "[scenario]\nsensors = 2\nattackers = 0\ntopology = explicit\n"
+            "[scenario]\nsensors = 2\nattackers = 0\n"
             "positions = 0:75,75 0:10,10 1:20,20 2:30,30\n"
         )
         with pytest.raises(ConfigError, match="positions repeat node id 0$"):

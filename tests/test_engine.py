@@ -135,7 +135,7 @@ class TestTopologyInvariants:
         sim.run()
         for node in sim.nodes.values():
             ts = node.trickle
-            assert ts.i_min_ms <= ts.interval_ms <= ts.max_interval_ms
+            assert rpl.TRICKLE_IMIN_MS <= ts.interval_ms <= rpl.TRICKLE_IMAX_MS
 
     def test_dio_budget_log_in_stable_window(self):
         """No-reset window of i_min * 2^d holds at most d+1 emissions."""
@@ -157,8 +157,8 @@ class TestTopologyInvariants:
                 dios.setdefault(rec[1], []).append(rec[0])
         for node_id, times in dios.items():
             last_reset = max(resets.get(node_id, [0]))
-            for d in range(0, 9):
-                window = 4096 << d
+            for d in range(rpl.TRICKLE_DOUBLINGS + 1):
+                window = rpl.TRICKLE_IMIN_MS << d
                 start = last_reset
                 end = start + window
                 count = sum(1 for t in times if start < t <= end)
@@ -201,7 +201,6 @@ class TestDataPath:
             duration_ms=5_000,
             n_sensors=2,
             n_attackers=0,
-            topology="explicit",
             positions=((0, 0.0, 0.0), (1, 30.0, 0.0), (2, 60.0, 0.0)),
             radio=RadioConfig(base_loss=0.0, congestion_model="none"),
         )
@@ -226,7 +225,6 @@ class TestDataPath:
             duration_ms=300_000,
             n_sensors=2,
             n_attackers=0,
-            topology="explicit",
             positions=((0, 0.0, 0.0), (1, 30.0, 0.0), (2, 500.0, 500.0)),
             radio=RadioConfig(base_loss=0.0, congestion_model="none"),
         )

@@ -12,6 +12,9 @@ from rplsim.rpl import (
     DioMessage,
     NodeState,
     Role,
+    TRICKLE_DOUBLINGS,
+    TRICKLE_IMAX_MS,
+    TRICKLE_IMIN_MS,
     TrickleState,
     global_repair,
     handle_dio,
@@ -63,35 +66,33 @@ class TestTrickle:
     def test_interval_doubles_to_cap(self):
         ts = TrickleState()
         rng = random.Random(7)
-        trickle_reset(ts, 0, rng)
+        now = trickle_reset(ts, 0, rng)
         seen = []
-        now = 0
         for _ in range(12):
             seen.append(ts.interval_ms)
-            now = ts.fire_at
-            trickle_after_fire(ts, now, rng)
-        assert seen[:4] == [4096, 8192, 16384, 32768][:4][:len(seen)] or seen[0] == 4096
+            now = trickle_after_fire(ts, now, rng)
+        assert seen[:4] == [TRICKLE_IMIN_MS << d for d in range(4)]
         assert seen == sorted(seen)
-        assert max(seen) == ts.max_interval_ms == 4096 << 8
-        assert ts.interval_ms == ts.max_interval_ms
+        assert max(seen) == TRICKLE_IMAX_MS == TRICKLE_IMIN_MS << TRICKLE_DOUBLINGS
+        assert ts.interval_ms == TRICKLE_IMAX_MS
 
     def test_reset_returns_to_minimum(self):
         ts = TrickleState()
         rng = random.Random(3)
-        trickle_reset(ts, 0, rng)
+        now = trickle_reset(ts, 0, rng)
         for _ in range(6):
-            trickle_after_fire(ts, ts.fire_at, rng)
-        assert ts.interval_ms > ts.i_min_ms
+            now = trickle_after_fire(ts, now, rng)
+        assert ts.interval_ms > TRICKLE_IMIN_MS
         trickle_reset(ts, 500_000, rng)
-        assert ts.interval_ms == ts.i_min_ms
+        assert ts.interval_ms == TRICKLE_IMIN_MS
         assert ts.counter == 0
 
     def test_fire_point_in_second_half(self):
         ts = TrickleState()
         rng = random.Random(11)
         for start in (0, 10_000, 250_000):
-            trickle_reset(ts, start, rng)
-            assert start + ts.interval_ms // 2 <= ts.fire_at <= start + ts.interval_ms
+            fire = trickle_reset(ts, start, rng)
+            assert start + ts.interval_ms // 2 <= fire <= start + ts.interval_ms
 
     def test_generation_bumps_invalidate_pending_fires(self):
         ts = TrickleState()
@@ -105,7 +106,7 @@ class TestHandleDio:
     def test_isolated_sensor_joins_after_probe(self):
         node = make_sensor()
         dio = DioMessage(src=0, dodag_id=0, version=1, rank=MIN_RANK)
-        actions = handle_dio(node, dio, 1000)
+        actions = handle_dio(node, dio)
         assert ("probe", 0) in actions
         assert not node.joined
 
@@ -120,7 +121,7 @@ class TestHandleDio:
         node = make_sensor(rank=256, parent=0)
         node.candidates[0] = Candidate(addr=0, advertised_rank=128, version=1, confirmed=True)
         deep = DioMessage(src=9, dodag_id=0, version=1, rank=256)
-        handle_dio(node, deep, 1000)
+        handle_dio(node, deep)
         note_probe_result(node, 9, True)
         assert node.preferred_parent == 0
         assert node.rank == 256
@@ -128,30 +129,30 @@ class TestHandleDio:
     def test_stale_version_ignored(self):
         node = make_sensor(rank=256, parent=0)
         node.version = 3
-        assert handle_dio(node, DioMessage(src=2, dodag_id=0, version=2, rank=128), 0) == []
+        assert handle_dio(node, DioMessage(src=2, dodag_id=0, version=2, rank=128)) == []
         assert 2 not in node.candidates
 
     def test_new_version_restarts_join(self):
         node = make_sensor(rank=256, parent=0)
-        actions = handle_dio(node, DioMessage(src=0, dodag_id=0, version=2, rank=128), 0)
+        actions = handle_dio(node, DioMessage(src=0, dodag_id=0, version=2, rank=128))
         assert ("trickle_reset",) in actions
         assert node.version == 2
         assert node.rank is None and node.preferred_parent is None
 
     def test_own_dio_ignored(self):
         node = make_sensor()
-        assert handle_dio(node, DioMessage(src=node.id, dodag_id=0, version=1, rank=128), 0) == []
+        assert handle_dio(node, DioMessage(src=node.id, dodag_id=0, version=1, rank=128)) == []
 
     def test_consistent_dio_counts_toward_suppression(self):
         node = make_sensor(rank=256, parent=0)
         node.candidates[0] = Candidate(addr=0, advertised_rank=128, version=1, confirmed=True)
         before = node.trickle.counter
-        handle_dio(node, DioMessage(src=0, dodag_id=0, version=1, rank=128), 0)
+        handle_dio(node, DioMessage(src=0, dodag_id=0, version=1, rank=128))
         assert node.trickle.counter == before + 1
 
     def test_root_tracks_but_never_selects(self):
         root = NodeState(id=0, role=Role.ROOT, position=[0.0, 0.0])
-        handle_dio(root, DioMessage(src=4, dodag_id=0, version=1, rank=256), 0)
+        handle_dio(root, DioMessage(src=4, dodag_id=0, version=1, rank=256))
         assert root.preferred_parent is None
         assert root.rank == MIN_RANK
         assert 4 in root.candidates
@@ -185,9 +186,9 @@ class TestLinkMaintenance:
 class TestDisAndRepair:
     def test_dis_resets_joined_nodes_only(self):
         joined = make_sensor(rank=256, parent=0)
-        assert handle_dis(joined, 0) == [("trickle_reset",)]
+        assert handle_dis(joined) == [("trickle_reset",)]
         unjoined = make_sensor()
-        assert handle_dis(unjoined, 0) == []
+        assert handle_dis(unjoined) == []
 
     def test_global_repair_bumps_version(self):
         root = NodeState(id=0, role=Role.ROOT, position=[0.0, 0.0])
@@ -209,7 +210,6 @@ class TestLineTopologyOracle:
             duration_ms=200_000,
             n_sensors=3,
             n_attackers=0,
-            topology="explicit",
             positions=positions,
             radio=RadioConfig(tx_range_m=50.0, base_loss=0.0, congestion_model="none"),
         )
