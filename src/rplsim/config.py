@@ -14,6 +14,7 @@ Node addressing is fixed: node 0 is the gateway/root, sensors are
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from .attack import AttackerConfig
@@ -42,7 +43,7 @@ class ScenarioConfig:
     ids: IdsConfig = field(default_factory=IdsConfig)
     ids_enabled: bool = False
     data_interval_ms: int = 60_000
-    script: tuple[tuple[int, str], ...] = ()  # (t_ms, action) scenario events
+    global_repairs_ms: tuple[int, ...] = ()  # times the root starts a global repair
     trace_positions: bool = False
 
     def __post_init__(self) -> None:
@@ -61,8 +62,13 @@ class ScenarioConfig:
                 raise ConfigError(
                     "positions must cover every node id 0..%d" % (self.n_nodes - 1)
                 )
+            for addr, x, y in self.positions:
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ConfigError(f"positions of node {addr} must be finite")
         if self.data_interval_ms <= 0:
             raise ConfigError("data_interval must be positive")
+        if any(not 0 <= t <= self.duration_ms for t in self.global_repairs_ms):
+            raise ConfigError("global_repairs_ms must lie within 0..duration_ms")
 
     @property
     def n_nodes(self) -> int:
@@ -282,7 +288,9 @@ def load_batch(path: str) -> BatchConfig:
     batch = {key: scenario.pop(key) for key in _BATCH_KEYS if key in scenario}
     replications = batch.pop("replications", None)
     if replications is not None:
-        batch.setdefault("seeds", tuple(range(1, replications + 1)))
+        if "seeds" in batch:
+            raise ConfigError("[scenario] replications and seeds: give one, not both")
+        batch["seeds"] = tuple(range(1, replications + 1))
     try:
         base = ScenarioConfig(
             **scenario,

@@ -1,6 +1,8 @@
 """Deterministic discrete-event engine tying nodes, radio, attacker and IDS.
 
-One ``Simulation`` owns an event heap keyed by (time, sequence number); all
+One ``Simulation`` owns an event heap of ``(time, sequence number, handler,
+args)`` entries: each entry names the bound method that handles it, so the
+run loop pops and calls with no table between event and code.  All
 randomness comes from named per-subsystem streams derived from the run seed
 (topology, radio, mobility, jitter), so toggling one subsystem cannot perturb
 another's draws.  Virtual time is integer milliseconds.
@@ -24,10 +26,10 @@ forwarding and DAO delays, and the mobility and detector timer periods.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import ids as ids_mod
@@ -51,17 +53,6 @@ MOBILITY_STEP_MS = 1000
 IDS_TICK_MS = 1000
 
 
-class EventKind(enum.IntEnum):
-    MSG_DELIVERY = 0
-    TRICKLE_FIRE = 1
-    DATA_GEN = 2
-    MOBILITY_STEP = 3
-    ATTACK_STEP = 4
-    IDS_TICK = 5
-    SCRIPT = 6
-    PROBE_DELIVERY = 7
-
-
 @dataclass(slots=True)
 class Frame:
     kind: str  # dio | dis | dao | dao_ack | probe | data
@@ -70,7 +61,6 @@ class Frame:
     payload: object = None
     airtime_ms: int = 0
     attempt: int = 1
-    max_attempts: int = 1
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -84,7 +74,7 @@ class Simulation:
         self.seed = seed
         self.now = 0
         self._seq = 0
-        self._heap: list[tuple[int, int, int, tuple]] = []
+        self._heap: list[tuple[int, int, Callable, tuple]] = []
         self.trace: list[tuple] = []
 
         self.rng_topology = _stream(seed, "topology")
@@ -104,7 +94,9 @@ class Simulation:
 
         self._tx_free_at = [0] * scenario.n_nodes  # when each transmitter idles
         self._rebuild_neighbor_cache()
-        self._probe_done_at: dict[tuple[int, int], int] = {}
+        # (node, target) -> no new probe before this time: inf while one is
+        # in flight, then the end of its chain plus the cooldown
+        self._next_probe_at: dict[tuple[int, int], float] = {}
 
         self._record(
             0,
@@ -213,29 +205,28 @@ class Simulation:
             if node.role is Role.ATTACKER:
                 continue
             fire = rpl.trickle_reset(node.trickle, 0, self.rng_jitter)
-            self._schedule(fire, EventKind.TRICKLE_FIRE, (node_id, node.trickle.generation))
+            self._schedule(fire, self._on_trickle_fire, (node_id, node.trickle.generation))
         for sensor in scenario.sensor_ids:
             offset = int(self.rng_jitter.random() * scenario.data_interval_ms)
-            self._schedule(offset, EventKind.DATA_GEN, (sensor,))
+            self._schedule(offset, self._generate_data, (sensor,))
         for attacker in scenario.attacker_ids:
-            self._schedule(
-                scenario.attacker.attack_start_ms, EventKind.ATTACK_STEP, (attacker,)
-            )
+            self._schedule(scenario.attacker.attack_start_ms, self._on_attack_step, (attacker,))
         if self.mobility.mobile_ids:
-            self._schedule(MOBILITY_STEP_MS, EventKind.MOBILITY_STEP, ())
+            self._schedule(MOBILITY_STEP_MS, self._on_mobility_step, ())
         if scenario.ids_enabled:
-            self._schedule(IDS_TICK_MS, EventKind.IDS_TICK, ())
-        for at_ms, action in scenario.script:
-            self._schedule(at_ms, EventKind.SCRIPT, (action,))
+            self._schedule(IDS_TICK_MS, self._on_ids_tick, ())
+        for at_ms in scenario.global_repairs_ms:
+            self._schedule(at_ms, self._on_global_repair, ())
 
     # -- plumbing ----------------------------------------------------------
 
-    def _schedule(self, t: int, kind: EventKind, payload: tuple) -> None:
+    def _schedule(self, t: int, handler: Callable, args: tuple) -> None:
+        """Queue ``handler(*args)`` at ``t``; nothing past the run's end."""
         if t > self.scenario.duration_ms:
             return
         assert t >= self.now, "events may only be scheduled at >= current time"
         self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, int(kind), payload))
+        heapq.heappush(self._heap, (t, self._seq, handler, args))
 
     def _record(self, t: int, node: int, kind: str, *details) -> None:
         self.trace.append((t, node, kind, *details))
@@ -254,21 +245,18 @@ class Simulation:
             return self.scenario.radio.strobe_airtime_ms
         return UNICAST_AIRTIME_MS
 
-    def _transmit(self, node: NodeState, frame: Frame, not_before: int, kind: int = 0) -> None:
+    def _transmit(
+        self, node: NodeState, frame: Frame, not_before: int, handler: Callable | None = None
+    ) -> None:
         """Queue one frame on the node's transceiver (FIFO in call order).
 
-        The hot path of every frame, so it pushes the ``kind`` delivery event
-        itself with ``_schedule``'s rules: nothing past the run's end, never
-        earlier than now.
+        Its delivery, ``handler`` (default ``_on_delivery``), runs when the
+        frame's airtime ends.
         """
         airtime = frame.airtime_ms = self._airtime(frame)
         tx_free_at = self._tx_free_at
         end = tx_free_at[node.id] = max(not_before, tx_free_at[node.id]) + airtime
-        if end > self.scenario.duration_ms:
-            return
-        assert end >= self.now, "events may only be scheduled at >= current time"
-        self._seq += 1
-        heapq.heappush(self._heap, (end, self._seq, kind, (frame,)))
+        self._schedule(end, handler or self._on_delivery, (frame,))
 
     def _on_delivery(self, frame: Frame) -> None:
         dst = frame.dst
@@ -323,9 +311,7 @@ class Simulation:
                 self._maybe_probe(node, action[1])
             elif name == "trickle_reset":
                 fire = rpl.trickle_reset(node.trickle, self.now, self.rng_jitter)
-                self._schedule(
-                    fire, EventKind.TRICKLE_FIRE, (node.id, node.trickle.generation)
-                )
+                self._schedule(fire, self._on_trickle_fire, (node.id, node.trickle.generation))
                 self._record(self.now, node.id, "trickle_reset")
             elif name == "parent_switch":
                 old = -1 if action[1] is None else action[1]
@@ -341,14 +327,11 @@ class Simulation:
     # -- probing -----------------------------------------------------------
 
     def _maybe_probe(self, node: NodeState, target: int) -> None:
-        if target in node.probes_in_flight:
+        key = (node.id, target)
+        if self._next_probe_at.get(key, 0) > self.now:
             return
-        last = self._probe_done_at.get((node.id, target), -PROBE_COOLDOWN_MS)
-        if last + PROBE_COOLDOWN_MS > self.now:
-            return
-        node.probes_in_flight.add(target)
-        frame = Frame("probe", node.id, target, max_attempts=PROBE_ATTEMPTS)
-        self._transmit(node, frame, self.now, int(EventKind.PROBE_DELIVERY))
+        self._next_probe_at[key] = math.inf
+        self._transmit(node, Frame("probe", node.id, target), self.now, self._on_probe_delivery)
 
     def _on_probe_delivery(self, frame: Frame) -> None:
         """One strobe: a failed attempt with budget left goes straight back on the air."""
@@ -356,21 +339,19 @@ class Simulation:
         tx_free_at = self._tx_free_at
         got = self.radio.deliver(now, frame.airtime_ms, self._in_range[src], tx_free_at, dst)
         acked = got and dst not in self.attackers  # attackers draw, never acknowledge
-        if not acked and frame.attempt < frame.max_attempts:
-            # the heap held the only reference: re-queue it as _transmit
-            # would, at the airtime it already has, with _schedule's horizon
+        if not acked and frame.attempt < PROBE_ATTEMPTS:
+            # strobes are most heap pops of an attack run, so the frame goes
+            # back on the air here with _transmit's and _schedule's rules
+            # inlined; end >= now holds, as end = max(now, ...) + airtime
             frame.attempt += 1
             end = tx_free_at[src] = max(now, tx_free_at[src]) + frame.airtime_ms
             if end <= self.scenario.duration_ms:
                 self._seq += 1
-                heapq.heappush(self._heap, (end, self._seq, 7, (frame,)))  # PROBE_DELIVERY
+                heapq.heappush(self._heap, (end, self._seq, self._on_probe_delivery, (frame,)))
             return
-        self._probe_outcome(self.nodes[src], frame, acked)
-
-    def _probe_outcome(self, node: NodeState, frame: Frame, acked: bool) -> None:
-        node.probes_in_flight.discard(frame.dst)
-        self._probe_done_at[(node.id, frame.dst)] = self.now
-        self._apply_actions(node, rpl.note_probe_result(node, frame.dst, acked))
+        node = self.nodes[src]
+        self._next_probe_at[(src, dst)] = now + PROBE_COOLDOWN_MS
+        self._apply_actions(node, rpl.note_probe_result(node, dst, acked))
 
     # -- data path ---------------------------------------------------------
 
@@ -384,9 +365,7 @@ class Simulation:
             path=[sensor_id],
         )
         self._send_data_hop(node, packet, self.now)
-        self._schedule(
-            self.now + self.scenario.data_interval_ms, EventKind.DATA_GEN, (sensor_id,)
-        )
+        self._schedule(self.now + self.scenario.data_interval_ms, self._generate_data, (sensor_id,))
 
     def _send_data_hop(self, node: NodeState, packet: DataPacket, not_before: int) -> None:
         origin_hop = node.id == packet.origin
@@ -395,13 +374,7 @@ class Simulation:
         if node.preferred_parent is None:
             self._record(self.now, node.id, "data_drop", packet.origin, packet.seq, "no_parent")
             return
-        frame = Frame(
-            "data",
-            node.id,
-            node.preferred_parent,
-            payload=packet,
-            max_attempts=1 + DATA_RETRIES,
-        )
+        frame = Frame("data", node.id, node.preferred_parent, payload=packet)
         self._transmit(node, frame, not_before)
 
     def _data_outcome(self, node: NodeState, frame: Frame, acked: bool) -> None:
@@ -412,7 +385,7 @@ class Simulation:
             )
             self._forward_data(self.nodes[frame.dst], packet)
             return
-        if frame.attempt < frame.max_attempts:
+        if frame.attempt <= DATA_RETRIES:
             if node.id == packet.origin:
                 self._record(self.now, node.id, "data_sent", packet.seq, frame.attempt + 1)
             frame.attempt += 1
@@ -460,7 +433,7 @@ class Simulation:
             self._record(self.now, node.id, "dis_sent")
             self._transmit(node, Frame("dis", node.id, None), self.now)
         fire = rpl.trickle_after_fire(ts, self.now, self.rng_jitter)
-        self._schedule(fire, EventKind.TRICKLE_FIRE, (node_id, ts.generation))
+        self._schedule(fire, self._on_trickle_fire, (node_id, ts.generation))
 
     def _on_attack_step(self, attacker_id: int) -> None:
         node = self.nodes[attacker_id]
@@ -470,9 +443,7 @@ class Simulation:
             self._record(self.now, attacker_id, "dio_sent", dio.rank, dio.version)
             self._transmit(node, Frame("dio", attacker_id, None, payload=dio), self.now)
         self._schedule(
-            self.now + state.config.replay_interval_ms,
-            EventKind.ATTACK_STEP,
-            (attacker_id,),
+            self.now + state.config.replay_interval_ms, self._on_attack_step, (attacker_id,)
         )
 
     def _on_ids_tick(self) -> None:
@@ -480,7 +451,7 @@ class Simulation:
             node = self.nodes[node_id]
             if node.ids is not None:
                 ids_mod.tick(node.ids, self.now)
-        self._schedule(self.now + IDS_TICK_MS, EventKind.IDS_TICK, ())
+        self._schedule(self.now + IDS_TICK_MS, self._on_ids_tick, ())
 
     def _on_mobility_step(self) -> None:
         positions = {i: self.nodes[i].position for i in self.nodes}
@@ -490,40 +461,27 @@ class Simulation:
             for node_id in sorted(self.nodes):
                 x, y = self.nodes[node_id].position
                 self._record(self.now, node_id, "position", f"{x:.3f}", f"{y:.3f}")
-        self._schedule(self.now + MOBILITY_STEP_MS, EventKind.MOBILITY_STEP, ())
+        self._schedule(self.now + MOBILITY_STEP_MS, self._on_mobility_step, ())
 
-    def _on_script(self, action: str) -> None:
-        if action == "global_repair":
-            root = self.nodes[self.scenario.root_id]
-            rpl.global_repair(root)
-            self._record(self.now, root.id, "global_repair", root.version)
-            self._apply_actions(root, [("trickle_reset",)])
-        else:
-            raise ValueError(f"unknown script action: {action}")
+    def _on_global_repair(self) -> None:
+        root = self.nodes[self.scenario.root_id]
+        rpl.global_repair(root)
+        self._record(self.now, root.id, "global_repair", root.version)
+        self._apply_actions(root, [("trickle_reset",)])
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> tuple["metrics_mod.RunMetrics", list[tuple]]:
         duration = self.scenario.duration_ms
-        handlers = (  # indexed by EventKind value
-            self._on_delivery,
-            self._on_trickle_fire,
-            self._generate_data,
-            self._on_mobility_step,
-            self._on_attack_step,
-            self._on_ids_tick,
-            self._on_script,
-            self._on_probe_delivery,
-        )
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            t, _, kind, payload = pop(heap)
+            t, _, handler, args = pop(heap)
             if t > duration:
                 break
             assert t >= self.now
             self.now = t
-            handlers[kind](*payload)
+            handler(*args)
         return metrics_mod.from_trace(self.trace), self.trace
 
 

@@ -97,7 +97,6 @@ class NodeState:
     ids: IdsState | None = None
     version: int = 1
     dodag_id: int = 0
-    probes_in_flight: set[int] = field(default_factory=set)
     data_seq: int = 0
 
     def __post_init__(self) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 import operator
 import os
 
@@ -165,9 +166,19 @@ class TestLoadBatch:
         parser.read_string(block)
         listed = {section: list(parser[section]) for section in parser.sections()}
         assert listed == {section: list(keys) for section, keys in _FORMAT.items()}
-        # the shown values are the defaults; only the seed list is an example
+        # the shown values are the defaults; the seed list is an example,
+        # and a file gives it or replications, not both
+        with pytest.raises(ConfigError, match="replications and seeds"):
+            load_batch(write_cfg(tmp_path, block))
+
+        def without(key):
+            return "".join(line for line in block.splitlines(True) if not line.startswith(key))
+
         defaults = ScenarioConfig(ids=IdsConfig(node_max=21))
-        assert load_batch(write_cfg(tmp_path, block)) == BatchConfig(base=defaults, seeds=(1, 2, 3))
+        assert load_batch(write_cfg(tmp_path, without("seeds"))) == BatchConfig(base=defaults)
+        assert load_batch(write_cfg(tmp_path, without("replications"))) == BatchConfig(
+            base=defaults, seeds=(1, 2, 3)
+        )
 
     def test_seconds_round_to_the_nearest_millisecond(self, tmp_path):
         text = "[scenario]\nduration_s = 32.3\nmodes = attack\nreplay_intervals_s = 2.01\n"
@@ -205,6 +216,12 @@ class TestLoadBatch:
     def test_gap_threshold_below_one_rejected(self, tmp_path, value):
         with pytest.raises(ConfigError, match="^gap_threshold_ms must be >= 1$"):
             load_batch(write_cfg(tmp_path, f"[ids]\ngap_threshold_ms = {value}\n"))
+
+    def test_replications_and_seeds_together_rejected(self, tmp_path):
+        # two settings for one decision: neither may silently win
+        text = "[scenario]\nreplications = 3\nseeds = 5 7\n"
+        with pytest.raises(ConfigError, match=r"^\[scenario\] replications and seeds: give one"):
+            load_batch(write_cfg(tmp_path, text))
 
     def test_block_threshold_below_two_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="block_threshold must be >= 2"):
@@ -396,6 +413,15 @@ class TestScenarioValidation:
         )
         with pytest.raises(ConfigError, match="positions repeat node id 0$"):
             load_batch(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("layout", ["0:nan,nan 1:inf,0", "0:75,75 1:20,-inf"])
+    def test_non_finite_positions_rejected(self, tmp_path, layout):
+        # no node would be in range of another: the run would end with PDR 0
+        text = f"[scenario]\nsensors = 1\nattackers = 0\npositions = {layout}\n"
+        with pytest.raises(ConfigError, match=r"^positions of node \d must be finite$"):
+            load_batch(write_cfg(tmp_path, text))
+        with pytest.raises(ConfigError, match="must be finite"):
+            ScenarioConfig(n_sensors=1, n_attackers=0, positions=((0, 0.0, 0.0), (1, math.nan, 5.0)))
 
     def test_address_layout(self):
         sc = ScenarioConfig(name="x", n_sensors=3, n_attackers=2)

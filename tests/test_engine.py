@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 import pytest
 
 from rplsim import engine, ids, rpl
-from rplsim.config import ScenarioConfig, make_variant
+from rplsim.config import ConfigError, ScenarioConfig, make_variant
 from rplsim.ids import Verdict
 from rplsim.radio import MobilityConfig, Radio, RadioConfig
 from rplsim.rpl import Role
@@ -243,7 +243,7 @@ class TestDataPath:
         assert metrics.pdr < 1.0
 
 
-class TestScript:
+class TestGlobalRepair:
     def test_global_repair_rebuilds_dodag(self):
         sc = ScenarioConfig(
             name="repair",
@@ -251,23 +251,30 @@ class TestScript:
             n_sensors=8,
             n_attackers=0,
             radio=RadioConfig(tx_range_m=65.0, base_loss=0.0, congestion_model="none"),
-            script=((300_000, "global_repair"),),
+            global_repairs_ms=(300_000,),
         )
         sim = engine.Simulation(sc, seed=2)
         _, trace = sim.run()
-        assert any(rec[2] == "global_repair" for rec in trace)
+        assert [rec for rec in trace if rec[2] == "global_repair"] == [(300_000, 0, "global_repair", 2)]
         for node in sim.nodes.values():
             assert node.version == 2
             if node.role is Role.SENSOR:
                 assert node.joined  # everyone re-joined the new version
 
-    def test_unknown_script_action_rejected(self):
+    @pytest.mark.parametrize("at_ms", [-1, 10_001])
+    def test_repair_outside_the_run_rejected(self, at_ms):
+        # before the start it would be an event in the past; after the end
+        # it would silently never run
+        with pytest.raises(ConfigError, match="global_repairs_ms must lie within 0..duration_ms"):
+            ScenarioConfig(name="bad", duration_ms=10_000, global_repairs_ms=(1000, at_ms))
+
+    def test_repairs_at_both_ends_of_the_run_are_kept(self):
         sc = ScenarioConfig(
-            name="bad", duration_ms=10_000, n_sensors=0, n_attackers=0,
-            script=((1000, "frobnicate"),),
+            name="ends", duration_ms=10_000, n_sensors=2, n_attackers=0,
+            global_repairs_ms=(0, 10_000),
         )
-        with pytest.raises(ValueError, match="unknown script action"):
-            engine.run(sc, seed=1)
+        _, trace = engine.run(sc, seed=1)
+        assert [rec[:2] for rec in trace if rec[2] == "global_repair"] == [(0, 0), (10_000, 0)]
 
 
 class TestPositionTrace:
@@ -374,11 +381,11 @@ class TestRetryChains:
 
     def test_no_event_is_pushed_past_the_run_end(self, monkeypatch):
         # wrapped at the module's heapq name, as the benchmark counts pops
-        pushed = []  # (time, kind, attempt of a probe frame)
+        pushed = []  # (time, handler, attempt of a probe frame)
         real_heapq = engine.heapq
 
         def heappush(heap, item):
-            probe = item[2] == engine.EventKind.PROBE_DELIVERY
+            probe = item[2].__func__ is engine.Simulation._on_probe_delivery
             pushed.append((item[0], item[2], item[3][0].attempt if probe else 0))
             real_heapq.heappush(heap, item)
 

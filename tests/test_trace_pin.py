@@ -6,12 +6,14 @@ replays them under other interpreters (``python -m tests.pins --python PATH``).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
 
 from rplsim import metrics
 
+from . import pins
 from .pins import OVERFLOW_PIN, OVERFLOW_RUN, PINNED, digest, pinned_run, pinned_variants
 
 
@@ -38,6 +40,15 @@ def test_trace_bytes_are_pinned(run_trace, tmp_path, label, seed):
 def test_overflowing_detector_trace_bytes_are_pinned(run_trace, tmp_path):
     got = digest(run_trace(*OVERFLOW_RUN), tmp_path / "overflow.tsv")
     assert got == OVERFLOW_PIN
+
+
+def test_pins_hold_with_asserts_stripped(monkeypatch, capfd):
+    # PYTHONOPTIMIZE=1 is -O: no assert runs, so none may carry behaviour,
+    # such as the event push, the inline strobe re-queue or the radio's
+    # window check
+    monkeypatch.setenv("PYTHONOPTIMIZE", "1")
+    assert pins.main(["--python", sys.executable]) == 0
+    assert capfd.readouterr().out.count("pass ") == len(pins.PINS)
 
 
 @pytest.mark.parametrize(
