@@ -1,16 +1,17 @@
 """Replay attacker: capture one legitimate DIO, re-multicast it forever.
 
-The attacker stays fully isolated from the DODAG.  It never joins, never
-answers probes or acknowledges unicasts, and transmits nothing but the one
-captured DIO payload, stamped with its own source address, at a fixed
-cadence from the attack start onward.
+The attacker stays fully isolated from the DODAG and holds no routing
+state, only the payload it captured.  It never joins, never answers probes
+or acknowledges unicasts, and transmits nothing but that one DIO payload,
+stamped with its own source address, at a fixed cadence from the attack
+start onward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rpl import DioMessage, NodeState
+from .rpl import DioMessage
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class AttackerState:
             self.captured = dio
 
 
-def attacker_step(node: NodeState, state: AttackerState, now: int) -> DioMessage | None:
+def attacker_step(addr: int, state: AttackerState, now: int) -> DioMessage | None:
     """One replay tick: the captured payload under the attacker's address.
 
     Returns None (silent skip) before the attack start or while nothing has
@@ -46,7 +47,7 @@ def attacker_step(node: NodeState, state: AttackerState, now: int) -> DioMessage
         return None
     captured = state.captured
     return DioMessage(
-        src=node.id,
+        src=addr,
         dodag_id=captured.dodag_id,
         version=captured.version,
         rank=captured.rank,

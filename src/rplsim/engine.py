@@ -7,6 +7,12 @@ randomness comes from named per-subsystem streams derived from the run seed
 (topology, radio, mobility, jitter), so toggling one subsystem cannot perturb
 another's draws.  Virtual time is integer milliseconds.
 
+``Simulation.positions`` is the one owner of geometry: a list of ``[x, y]``
+indexed by node id, built once by ``_build_positions`` and read in place by
+the in-range lists, mobility and the ``position`` records.  The node table
+``nodes`` holds RPL state for the gateway and the sensors only; attackers
+live in ``attackers`` with nothing but their captured DIO.
+
 The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
 one short airtime unit and are never retried; unicast frames strobe for a
 long airtime per attempt until the destination acknowledges (attackers never
@@ -27,6 +33,7 @@ forwarding and DAO delays, and the mobility and detector timer periods.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import random
 from collections.abc import Callable
@@ -51,6 +58,9 @@ FWD_DELAY_MAX_MS = 80
 DAO_DELAY_MS = 100
 MOBILITY_STEP_MS = 1000
 IDS_TICK_MS = 1000
+LAYOUT_TRIES = 200  # random sensor layouts drawn before giving up on connectivity
+
+log = logging.getLogger("rplsim")
 
 
 @dataclass(slots=True)
@@ -82,18 +92,26 @@ class Simulation:
         self.rng_jitter = _stream(seed, "jitter")
 
         self.radio = Radio(scenario.radio, self.rng_radio, scenario.n_nodes)
-        self.nodes: dict[int, NodeState] = {}
-        self.attackers: dict[int, AttackerState] = {}
-        self._build_nodes()
+        self.positions = self._build_positions()
+        self.nodes: dict[int, NodeState] = {
+            node_id: NodeState(
+                id=node_id,
+                role=Role.ROOT if node_id == scenario.root_id else Role.SENSOR,
+                ids=IdsState(scenario.ids) if scenario.ids_enabled else None,
+                dodag_id=scenario.root_id,
+            )
+            for node_id in (scenario.root_id, *scenario.sensor_ids)
+        }
+        self.attackers = {a: AttackerState(scenario.attacker) for a in scenario.attacker_ids}
 
         self.mobility = Mobility(
             scenario.mobility,
             lambda node_id: _stream(seed, f"mobility/{node_id}"),
-            [n for n in sorted(self.nodes) if n != scenario.root_id],
+            [n for n in range(scenario.n_nodes) if n != scenario.root_id],
         )
 
         self._tx_free_at = [0] * scenario.n_nodes  # when each transmitter idles
-        self._rebuild_neighbor_cache()
+        self._in_range = self.radio.in_range_lists(self.positions)
         # (node, target) -> no new probe before this time: inf while one is
         # in flight, then the end of its chain plus the cooldown
         self._next_probe_at: dict[tuple[int, int], float] = {}
@@ -114,56 +132,39 @@ class Simulation:
 
     # -- construction ------------------------------------------------------
 
-    def _build_nodes(self) -> None:
-        scenario = self.scenario
-        positions = self._build_positions()
-        for node_id in range(scenario.n_nodes):
-            if node_id == scenario.root_id:
-                role = Role.ROOT
-            elif node_id in scenario.sensor_ids:
-                role = Role.SENSOR
-            else:
-                role = Role.ATTACKER
-            node = NodeState(
-                id=node_id,
-                role=role,
-                position=positions[node_id],
-                dodag_id=scenario.root_id,
-            )
-            if scenario.ids_enabled and role is not Role.ATTACKER:
-                node.ids = IdsState(scenario.ids)
-            if role is Role.ATTACKER:
-                self.attackers[node_id] = AttackerState(scenario.attacker)
-            self.nodes[node_id] = node
-
-    def _build_positions(self) -> dict[int, list[float]]:
+    def _build_positions(self) -> list[list[float]]:
         scenario = self.scenario
         if scenario.positions:
-            return {addr: [x, y] for addr, x, y in scenario.positions}
+            return [[x, y] for _, x, y in sorted(scenario.positions)]
         w, h = scenario.mobility.area
         rng = self.rng_topology
         reach = scenario.radio.tx_range_m
-        positions = {scenario.root_id: [w / 2.0, h / 2.0]}
-        for _ in range(200):
-            for sensor in scenario.sensor_ids:
-                positions[sensor] = [rng.random() * w, rng.random() * h]
-            if self._connected(positions, reach):
+        legit = [[w / 2.0, h / 2.0]]  # the root, then the sensors in id order
+        for _ in range(LAYOUT_TRIES):
+            legit[1:] = [[rng.random() * w, rng.random() * h] for _ in scenario.sensor_ids]
+            neighbours = self.radio.in_range_lists(legit)
+            seen = {scenario.root_id}
+            frontier = [scenario.root_id]
+            while frontier:
+                fresh = [n for n in neighbours[frontier.pop()] if n not in seen]
+                seen.update(fresh)
+                frontier += fresh
+            if len(seen) == len(legit):
                 break
-        legit = [positions[i] for i in sorted(positions)]
+        else:
+            raise ValueError(
+                f"seed {self.seed}: no connected layout of {scenario.n_sensors} sensors "
+                f"in {LAYOUT_TRIES} tries with tx_range_m = {reach}"
+            )
         # well-connected legit nodes: their neighbor tables will be large
         # enough for the quartile fence to have any discriminating power
-        anchors = [
-            p
-            for p in legit
-            if sum(1 for q in legit if q is not p and math.dist(p, q) <= reach) >= 5
-        ]
+        anchors = [p for p, near in zip(legit, neighbours) if len(near) >= 5]
         # attackers go one per quadrant; each gets 100 tries to land within
         # 0.8 x range of an anchor no earlier attacker reaches, then keeps its
-        # last candidate, which may have no anchor within 0.8 x range at all
+        # last candidate, with a warning if no anchor is within 0.8 x range
         placed: list[list[float]] = []
         for index, attacker in enumerate(scenario.attacker_ids):
             qx, qy = index % 2, (index // 2) % 2
-            candidate = None
             for _ in range(100):
                 candidate = [
                     (qx + rng.random()) * w / 2.0,
@@ -181,29 +182,18 @@ class Simulation:
                 ]
                 if private:
                     break
-            positions[attacker] = candidate
+            if not victims:
+                log.warning(
+                    "seed %d: attacker %d has no well-connected node within 0.8 x range",
+                    self.seed,
+                    attacker,
+                )
             placed.append(candidate)
-        return positions
-
-    @staticmethod
-    def _connected(positions: dict[int, list[float]], reach: float) -> bool:
-        ids = sorted(positions)
-        seen = {ids[0]}
-        frontier = [ids[0]]
-        while frontier:
-            here = positions[frontier.pop()]
-            for other in ids:
-                if other not in seen and math.dist(here, positions[other]) <= reach:
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(ids)
+        return legit + placed
 
     def _schedule_initial(self) -> None:
         scenario = self.scenario
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if node.role is Role.ATTACKER:
-                continue
+        for node_id, node in self.nodes.items():
             fire = rpl.trickle_reset(node.trickle, 0, self.rng_jitter)
             self._schedule(fire, self._on_trickle_fire, (node_id, node.trickle.generation))
         for sensor in scenario.sensor_ids:
@@ -231,10 +221,6 @@ class Simulation:
     def _record(self, t: int, node: int, kind: str, *details) -> None:
         self.trace.append((t, node, kind, *details))
 
-    def _rebuild_neighbor_cache(self) -> None:
-        positions = [self.nodes[i].position for i in range(self.scenario.n_nodes)]
-        self._in_range = self.radio.in_range_lists(positions)
-
     # -- transmission ------------------------------------------------------
 
     def _airtime(self, frame: Frame) -> int:
@@ -245,17 +231,15 @@ class Simulation:
             return self.scenario.radio.strobe_airtime_ms
         return UNICAST_AIRTIME_MS
 
-    def _transmit(
-        self, node: NodeState, frame: Frame, not_before: int, handler: Callable | None = None
-    ) -> None:
-        """Queue one frame on the node's transceiver (FIFO in call order).
+    def _transmit(self, frame: Frame, not_before: int, handler: Callable | None = None) -> None:
+        """Queue one frame on its sender's transceiver (FIFO in call order).
 
         Its delivery, ``handler`` (default ``_on_delivery``), runs when the
         frame's airtime ends.
         """
         airtime = frame.airtime_ms = self._airtime(frame)
         tx_free_at = self._tx_free_at
-        end = tx_free_at[node.id] = max(not_before, tx_free_at[node.id]) + airtime
+        end = tx_free_at[frame.src] = max(not_before, tx_free_at[frame.src]) + airtime
         self._schedule(end, handler or self._on_delivery, (frame,))
 
     def _on_delivery(self, frame: Frame) -> None:
@@ -275,9 +259,8 @@ class Simulation:
         if frame.kind == "data":
             self._data_outcome(self.nodes[frame.src], frame, acked)
         elif frame.kind == "dao" and acked:
-            parent = self.nodes[dst]
             self._record(self.now, dst, "dao_ack_sent", frame.src)
-            self._transmit(parent, Frame("dao_ack", dst, frame.src), self.now)
+            self._transmit(Frame("dao_ack", dst, frame.src), self.now)
         # dao/dao_ack get no retries and no ETX accounting
 
     # -- reception ---------------------------------------------------------
@@ -286,10 +269,10 @@ class Simulation:
         """Attackers overhear; detectors drop a blocked sender's copy; RPL gets the rest."""
         now, src, nodes, attackers, trace = self.now, dio.src, self.nodes, self.attackers, self.trace
         for node_id in got:
-            node = nodes[node_id]
             if node_id in attackers:
                 attackers[node_id].overhear(dio)
                 continue
+            node = nodes[node_id]
             if node.ids is not None:
                 verdict = ids_mod.process_dio(node.ids, src, now)
                 if verdict is DISCARDED:
@@ -321,8 +304,7 @@ class Simulation:
                 self._record(self.now, node.id, "parent_lost")
             elif name == "send_dao":
                 self._record(self.now, node.id, "dao_sent", action[1])
-                frame = Frame("dao", node.id, action[1])
-                self._transmit(node, frame, self.now + DAO_DELAY_MS)
+                self._transmit(Frame("dao", node.id, action[1]), self.now + DAO_DELAY_MS)
 
     # -- probing -----------------------------------------------------------
 
@@ -331,7 +313,7 @@ class Simulation:
         if self._next_probe_at.get(key, 0) > self.now:
             return
         self._next_probe_at[key] = math.inf
-        self._transmit(node, Frame("probe", node.id, target), self.now, self._on_probe_delivery)
+        self._transmit(Frame("probe", node.id, target), self.now, self._on_probe_delivery)
 
     def _on_probe_delivery(self, frame: Frame) -> None:
         """One strobe: a failed attempt with budget left goes straight back on the air."""
@@ -374,8 +356,7 @@ class Simulation:
         if node.preferred_parent is None:
             self._record(self.now, node.id, "data_drop", packet.origin, packet.seq, "no_parent")
             return
-        frame = Frame("data", node.id, node.preferred_parent, payload=packet)
-        self._transmit(node, frame, not_before)
+        self._transmit(Frame("data", node.id, node.preferred_parent, payload=packet), not_before)
 
     def _data_outcome(self, node: NodeState, frame: Frame, acked: bool) -> None:
         packet: DataPacket = frame.payload
@@ -390,7 +371,7 @@ class Simulation:
                 self._record(self.now, node.id, "data_sent", packet.seq, frame.attempt + 1)
             frame.attempt += 1
             jitter = int(self.rng_jitter.random() * RETRY_BACKOFF_MS)
-            self._transmit(node, frame, self.now + RETRY_BACKOFF_MS + jitter)
+            self._transmit(frame, self.now + RETRY_BACKOFF_MS + jitter)
             return
         self._apply_actions(
             node, rpl.note_link_outcome(node, frame.dst, frame.attempt, False)
@@ -428,38 +409,33 @@ class Simulation:
                     rank=node.rank,
                 )
                 self._record(self.now, node.id, "dio_sent", node.rank, node.version)
-                self._transmit(node, Frame("dio", node.id, None, payload=dio), self.now)
+                self._transmit(Frame("dio", node.id, None, payload=dio), self.now)
         else:
             self._record(self.now, node.id, "dis_sent")
-            self._transmit(node, Frame("dis", node.id, None), self.now)
+            self._transmit(Frame("dis", node.id, None), self.now)
         fire = rpl.trickle_after_fire(ts, self.now, self.rng_jitter)
         self._schedule(fire, self._on_trickle_fire, (node_id, ts.generation))
 
     def _on_attack_step(self, attacker_id: int) -> None:
-        node = self.nodes[attacker_id]
         state = self.attackers[attacker_id]
-        dio = attacker_step(node, state, self.now)
+        dio = attacker_step(attacker_id, state, self.now)
         if dio is not None:
             self._record(self.now, attacker_id, "dio_sent", dio.rank, dio.version)
-            self._transmit(node, Frame("dio", attacker_id, None, payload=dio), self.now)
+            self._transmit(Frame("dio", attacker_id, None, payload=dio), self.now)
         self._schedule(
             self.now + state.config.replay_interval_ms, self._on_attack_step, (attacker_id,)
         )
 
     def _on_ids_tick(self) -> None:
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if node.ids is not None:
-                ids_mod.tick(node.ids, self.now)
+        for node in self.nodes.values():
+            ids_mod.tick(node.ids, self.now)
         self._schedule(self.now + IDS_TICK_MS, self._on_ids_tick, ())
 
     def _on_mobility_step(self) -> None:
-        positions = {i: self.nodes[i].position for i in self.nodes}
-        self.mobility.move(positions, MOBILITY_STEP_MS, self.now)
-        self._rebuild_neighbor_cache()
+        self.mobility.move(self.positions, MOBILITY_STEP_MS, self.now)
+        self._in_range = self.radio.in_range_lists(self.positions)
         if self.scenario.trace_positions:
-            for node_id in sorted(self.nodes):
-                x, y = self.nodes[node_id].position
+            for node_id, (x, y) in enumerate(self.positions):
                 self._record(self.now, node_id, "position", f"{x:.3f}", f"{y:.3f}")
         self._schedule(self.now + MOBILITY_STEP_MS, self._on_mobility_step, ())
 

@@ -59,6 +59,10 @@ class IdsConfig:
             raise ValueError("fence_delta must be positive")
         if self.node_max < 1:
             raise ValueError("node_max must be >= 1")
+        if self.activation_delay_ms < 0:
+            raise ValueError("activation_delay_ms must be >= 0")
+        if self.check_period_ms < 1:
+            raise ValueError("check_period_ms must be >= 1")
 
 
 class Verdict(enum.Enum):

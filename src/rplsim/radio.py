@@ -167,8 +167,8 @@ class Mobility:
             self.config.speed_max - self.config.speed_min
         )
 
-    def move(self, positions: dict[int, list[float]], dt_ms: int, now: int) -> None:
-        """Advance every mobile node by dt."""
+    def move(self, positions: list[list[float]], dt_ms: int, now: int) -> None:
+        """Advance every mobile node by dt, updating ``positions[node_id]`` in place."""
         for node_id in self.mobile_ids:
             if self._pause_until.get(node_id, 0) > now:
                 continue

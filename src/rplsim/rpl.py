@@ -36,7 +36,6 @@ TRICKLE_K = 10
 class Role(enum.Enum):
     ROOT = "root"
     SENSOR = "sensor"
-    ATTACKER = "attacker"
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,6 @@ class Candidate:
 class NodeState:
     id: int
     role: Role
-    position: list[float]
     rank: int | None = None
     preferred_parent: int | None = None
     candidates: dict[int, Candidate] = field(default_factory=dict)
@@ -190,7 +188,7 @@ def handle_dio(node: NodeState, dio: DioMessage) -> list[tuple]:
     probe; confirmed ones refresh their advertisement and may move the
     preferred parent.
     """
-    if dio.src == node.id or node.role is Role.ATTACKER:
+    if dio.src == node.id:
         return []
     if dio.version < node.version:
         return []
@@ -227,7 +225,7 @@ def handle_dio(node: NodeState, dio: DioMessage) -> list[tuple]:
 
 def handle_dis(node: NodeState) -> list[tuple]:
     """A solicitation from a neighbor asks for a fast DIO."""
-    if node.role is Role.ATTACKER or not node.joined:
+    if not node.joined:
         return []
     return [("trickle_reset",)]
 

@@ -258,6 +258,9 @@ def scenario_config_validation():
         dict(block_threshold=1),
         dict(fence_delta=0.0),
         dict(node_max=0),
+        dict(activation_delay_ms=-5),
+        dict(check_period_ms=0),
+        dict(check_period_ms=-30_000),
     ):
         try:
             IdsConfig(**bad)

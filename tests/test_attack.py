@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import logging
+import os
+
 import pytest
 
 from rplsim import engine
 from rplsim.attack import AttackerConfig, AttackerState, attacker_step
-from rplsim.config import ScenarioConfig
+from rplsim.config import ScenarioConfig, load_batch
 from rplsim.radio import RadioConfig
-from rplsim.rpl import DioMessage, NodeState, Role
+from rplsim.rpl import DioMessage
+
+HEADLINE = os.path.join(os.path.dirname(__file__), "..", "configs", "headline.cfg")
 
 
 def make_attacker(interval=1000):
     cfg = AttackerConfig(replay_interval_ms=interval)
-    node = NodeState(id=9, role=Role.ATTACKER, position=[0.0, 0.0])
-    return node, AttackerState(cfg)
+    return 9, AttackerState(cfg)
 
 
 DIO_A = DioMessage(src=1, dodag_id=0, version=1, rank=256)
@@ -23,22 +27,22 @@ DIO_B = DioMessage(src=2, dodag_id=0, version=1, rank=384)
 
 class TestCapture:
     def test_nothing_captured_is_silent(self):
-        node, state = make_attacker()
-        assert attacker_step(node, state, 95_000) is None
+        addr, state = make_attacker()
+        assert attacker_step(addr, state, 95_000) is None
 
     def test_first_heard_wins(self):
-        node, state = make_attacker()
+        addr, state = make_attacker()
         state.overhear(DIO_A)
         state.overhear(DIO_B)
-        out = attacker_step(node, state, 90_000)
+        out = attacker_step(addr, state, 90_000)
         assert out.rank == DIO_A.rank
 
     def test_payload_frozen_once_replaying(self):
-        node, state = make_attacker()
+        addr, state = make_attacker()
         state.overhear(DIO_A)
-        first = attacker_step(node, state, 90_000)
+        first = attacker_step(addr, state, 90_000)
         state.overhear(DIO_B)
-        second = attacker_step(node, state, 91_000)
+        second = attacker_step(addr, state, 91_000)
         assert (first.rank, first.version, first.dodag_id) == (
             second.rank,
             second.version,
@@ -46,18 +50,18 @@ class TestCapture:
         )
 
     def test_replay_is_non_spoofed(self):
-        node, state = make_attacker()
+        addr, state = make_attacker()
         state.overhear(DIO_A)
-        out = attacker_step(node, state, 90_000)
-        assert out.src == node.id != DIO_A.src
+        out = attacker_step(addr, state, 90_000)
+        assert out.src == addr != DIO_A.src
 
 
 class TestTiming:
     def test_silent_before_attack_start(self):
-        node, state = make_attacker()
+        addr, state = make_attacker()
         state.overhear(DIO_A)
-        assert attacker_step(node, state, 89_999) is None
-        assert attacker_step(node, state, 90_000) is not None
+        assert attacker_step(addr, state, 89_999) is None
+        assert attacker_step(addr, state, 90_000) is not None
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="replay_interval_ms"):
@@ -94,9 +98,7 @@ class TestEndToEnd:
     def test_attacker_stays_isolated(self):
         sim = engine.Simulation(chain_scenario(200_000), seed=3)
         _, trace = sim.run()
-        attacker = sim.nodes[2]
-        assert attacker.rank is None
-        assert attacker.preferred_parent is None
+        assert 2 not in sim.nodes  # no routing state at all
         sent_kinds = {rec[2] for rec in trace if rec[1] == 2}
         assert "dis_sent" not in sent_kinds
         assert "dao_sent" not in sent_kinds
@@ -109,6 +111,28 @@ class TestEndToEnd:
         entry = victim.ids.neighbors[2]
         assert entry.t_recent - entry.t_previous == 1000
         assert entry.dio_count >= 55  # lossless: every replay is counted
+
+
+class TestPlacementWarning:
+    """A random attacker placement with no well-connected node near it is logged."""
+
+    @staticmethod
+    def build(seed):
+        batch = load_batch(HEADLINE)
+        scenario = next(sc for label, sc, _ in batch.variants() if label == "static-attack-r1s")
+        return engine.Simulation(scenario, seed)
+
+    def test_attacker_far_from_every_anchor_warns_once(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="rplsim"):
+            self.build(23)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "seed 23: attacker 20 has no well-connected node within 0.8 x range"
+        ]
+
+    def test_well_placed_attackers_stay_silent(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="rplsim"):
+            self.build(1)
+        assert caplog.records == []
 
 
 class TestSparseHearers:

@@ -200,6 +200,19 @@ class TestMain:
         assert "tx_range_m" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_unconnected_layout_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "apart.cfg"
+        cfg.write_text(
+            "[scenario]\nsensors = 5\nattackers = 0\nmodes = baseline\nreplications = 1\n"
+            "[radio]\ntx_range_m = 1\n"
+        )
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: seed 1: no connected layout of 5 sensors in 200 tries with tx_range_m = 1.0\n"
+        )
+        assert not os.path.exists(tmp_path / "o")
+
     def test_happy_path_prints_outputs(self, tiny_cfg, tmp_path, capsys):
         code = cli.main(
             ["run", tiny_cfg, "--out", str(tmp_path / "o"), "--seeds", "1",

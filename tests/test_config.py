@@ -365,9 +365,7 @@ class TestVariants:
         assert variants["static-baseline"].positions == layout
         assert variants["static-attack-r1s"].positions == layout + ((3, 60.0, 10.0),)
         sim = engine.Simulation(variants["static-baseline"], 1)
-        assert {i: node.position for i, node in sim.nodes.items()} == {
-            i: [x, y] for i, x, y in layout
-        }
+        assert sim.positions == [[x, y] for _, x, y in layout]
 
     def test_make_variant_semantics(self):
         base = ScenarioConfig(name="v")
@@ -394,12 +392,7 @@ class TestScenarioValidation:
             "positions = 0:75,75 1:20,30 2:5,140 3:130,10\n"
         )
         sim = engine.Simulation(load_batch(write_cfg(tmp_path, text)).base, 1)
-        assert {i: node.position for i, node in sim.nodes.items()} == {
-            0: [75.0, 75.0],
-            1: [20.0, 30.0],
-            2: [5.0, 140.0],
-            3: [130.0, 10.0],
-        }
+        assert sim.positions == [[75.0, 75.0], [20.0, 30.0], [5.0, 140.0], [130.0, 10.0]]
 
     def test_explicit_positions_must_cover_all_nodes(self):
         with pytest.raises(ConfigError, match="positions must cover"):

@@ -67,9 +67,8 @@ class TestDeterminism:
         quiet.run()
         noisy = engine.Simulation(make_variant(base, "attack", "mobile", 1000), seed=11)
         noisy.run()
-        for node_id in quiet.nodes:
-            if node_id in noisy.nodes and quiet.nodes[node_id].role is Role.SENSOR:
-                assert quiet.nodes[node_id].position == noisy.nodes[node_id].position
+        for sensor in base.sensor_ids:
+            assert quiet.positions[sensor] == noisy.positions[sensor]
 
 
 class TestScenarioEdges:
@@ -288,15 +287,24 @@ class TestPositionTrace:
         x = float(recs[0][3])
         assert 0.0 <= x <= 150.0
 
+    def test_attackers_move_in_a_mobile_attack_run(self):
+        sc = make_variant(
+            small_base(duration_ms=10_000, trace_positions=True), "attack", "mobile", 1000
+        )
+        _, trace = engine.run(sc, seed=1)
+        for attacker in sc.attacker_ids:
+            places = {rec[3:] for rec in trace if rec[2] == "position" and rec[1] == attacker}
+            assert len(places) > 1
+
 
 class TestInRangeLists:
     @staticmethod
     def brute_force(sim):
         reach = sim.scenario.radio.tx_range_m
-        pos = {i: node.position for i, node in sim.nodes.items()}
+        pos = sim.positions
         return [
-            [j for j in sorted(pos) if j != i and math.dist(pos[i], pos[j]) <= reach]
-            for i in sorted(pos)
+            [j for j in range(len(pos)) if j != i and math.dist(pos[i], pos[j]) <= reach]
+            for i in range(len(pos))
         ]
 
     def test_lists_match_distance_scan_while_nodes_move(self):

@@ -42,6 +42,13 @@ def test_config_validation():
         IdsConfig(fence_delta=0)
     with pytest.raises(ValueError, match="node_max"):
         IdsConfig(node_max=0)
+    with pytest.raises(ValueError, match="^activation_delay_ms must be >= 0$"):
+        IdsConfig(activation_delay_ms=-5)
+    for bad in (0, -30_000):
+        with pytest.raises(ValueError, match="^check_period_ms must be >= 1$"):
+            IdsConfig(check_period_ms=bad)
+    # the boundaries themselves are accepted
+    IdsConfig(activation_delay_ms=0, check_period_ms=1)
 
 
 def test_gap_threshold_defaults():

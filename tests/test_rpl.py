@@ -29,7 +29,7 @@ from rplsim.rpl import (
 
 
 def make_sensor(node_id=5, rank=None, parent=None):
-    node = NodeState(id=node_id, role=Role.SENSOR, position=[0.0, 0.0])
+    node = NodeState(id=node_id, role=Role.SENSOR)
     node.rank = rank
     node.preferred_parent = parent
     return node
@@ -151,7 +151,7 @@ class TestHandleDio:
         assert node.trickle.counter == before + 1
 
     def test_root_tracks_but_never_selects(self):
-        root = NodeState(id=0, role=Role.ROOT, position=[0.0, 0.0])
+        root = NodeState(id=0, role=Role.ROOT)
         handle_dio(root, DioMessage(src=4, dodag_id=0, version=1, rank=256))
         assert root.preferred_parent is None
         assert root.rank == MIN_RANK
@@ -191,7 +191,7 @@ class TestDisAndRepair:
         assert handle_dis(unjoined) == []
 
     def test_global_repair_bumps_version(self):
-        root = NodeState(id=0, role=Role.ROOT, position=[0.0, 0.0])
+        root = NodeState(id=0, role=Role.ROOT)
         global_repair(root)
         assert root.version == 2
         assert root.rank == MIN_RANK
