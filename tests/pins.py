@@ -1,4 +1,5 @@
-"""Pinned trace digests, and one command that replays them on any interpreter.
+"""Pinned trace and batch-output digests, and one command that replays them
+on any interpreter.
 
 Four 300 s runs of ``configs/headline.cfg``, each traced the way a
 ``--trace`` batch writes it (positions on, through ``write_trace``), are
@@ -6,8 +7,13 @@ hashed and compared with sha256 digests recorded before the hot path they
 guard was last optimised.  The fourth shrinks the detector tables to
 ``node_max = 8`` so that the overflow path runs too: when it was recorded
 it emitted 4,361 ``ids_overflow``, 175 ``ids_discard``, 13 ``ids_suspect``
-and 3 ``ids_block`` records.  A change that is meant to alter the
-behaviour updates these digests and says why.
+and 3 ``ids_block`` records.  ``TREE_PINS`` holds the sha256 of every file
+that a traced, serial ``run_batch`` of ``BATCH_CFG`` writes (all three
+modes, static and mobile, 1 s replay, seeds 1 and 2, 300 s): ``runs.csv``,
+``summary.csv``, the four plot files and the twelve traces.  With two seeds
+the ``*_ci95`` columns hold numbers and some ``ada`` cells hold ``NA``.  A
+change that is meant to alter the behaviour or a format updates these
+digests and says why.
 
 The module needs only the standard library, so interpreters without pytest
 can check that they write the same bytes.  From the repository root:
@@ -30,7 +36,7 @@ import sys
 import tempfile
 from dataclasses import replace
 
-from rplsim import engine
+from rplsim import cli, engine
 from rplsim.config import load_batch
 from rplsim.trace import write_trace
 
@@ -48,6 +54,41 @@ OVERFLOW_RUN = ("static-cosec-r1s", 1, 8)
 
 # every pinned run, (label, seed, node_max) -> digest
 PINS = {**{key + (None,): digest for key, digest in PINNED.items()}, OVERFLOW_RUN: OVERFLOW_PIN}
+
+BATCH_CFG = """
+[scenario]
+name = headline
+duration_s = 300
+modes = baseline attack cosec
+mobility_modes = static mobile
+replay_intervals_s = 1
+seeds = 1 2
+
+[radio]
+tx_range_m = 65
+"""
+
+# every file of BATCH_CFG's traced batch, relative path ('/'-separated) -> digest
+TREE_PINS = {
+    "plot_ada.dat": "c7778b27019c3131bee2d475400a49a3112d263846f9b65e4943114d45dbc582",
+    "plot_ae2ed.dat": "ea01af5247f3786522126f923028c5233c97aecd067ff2765c43c67066d5c4ec",
+    "plot_frt.dat": "56c792cf3dbded11e1e3e96a9eaa9e9f8c7f3defbd4cf7bfa95ff5b31e66c04c",
+    "plot_pdr.dat": "ad1a8e53eb83a7c05a8ea44eecfd70a013812a53e11d78c03107efde62ee68ce",
+    "runs.csv": "eae3a7f3c497160eae6f5d19ea7f33a35a7d2064c8b9de49c1b3b9b784e9ee21",
+    "summary.csv": "4c3fd50e10cff17f275f7f854137f551901140b1f321d67b64fa5f2b485469ef",
+    "traces/mobile-attack-r1s-s1.tsv": "406e29e3fb344de45f6472dc340d8dc48c82a60fb48028b4a8a620b6655f39da",
+    "traces/mobile-attack-r1s-s2.tsv": "77ffd65ba784ce4ee96e0785f34331c2322afa6ad89383a8b5b4d87f314345e8",
+    "traces/mobile-baseline-s1.tsv": "c0f3f21b66969f7f8d2864e8167a2797424b973483824ade50de4f09470d5576",
+    "traces/mobile-baseline-s2.tsv": "757e69e2154d2a5b105b7a6b1e83df47de04a08ca1ba0e44ccf1f16fa443da55",
+    "traces/mobile-cosec-r1s-s1.tsv": "eb00603b28d69cbc1dcbb03eb17a901da11471404ee88454bffea2e8194048e7",
+    "traces/mobile-cosec-r1s-s2.tsv": "05fb4ceb101dcf0d2243a38a05d7ddddf0998d57ca119e17de661876eb703abe",
+    "traces/static-attack-r1s-s1.tsv": "a278171119e1cbe0d165f986b2976d1a607d395e89a93f922ddbccf83048eae4",
+    "traces/static-attack-r1s-s2.tsv": "44d011c6918cc9dd804eb5fd1dce23580177555bb985dd2b3d0cc5e47c504749",
+    "traces/static-baseline-s1.tsv": "5136c92d3314621237f281dc4691f963a463cd9b6fe43d849ea8d0c20349a0c8",
+    "traces/static-baseline-s2.tsv": "a18b9b550b421d49d715ecf5d6ac66763cf852678724c10d8e94365dd1d261a5",
+    "traces/static-cosec-r1s-s1.tsv": "1b065e5b9bb0fdf4caad4def3370ad36b746d6abd282e01ce492abe92b986b22",
+    "traces/static-cosec-r1s-s2.tsv": "d35120cd69245b003e6ded74b6ea6289dae1d09a3398c0c5241d9a82f6eb950a",
+}
 
 
 def pinned_variants() -> dict:
@@ -72,6 +113,31 @@ def digest(trace, path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def output_tree(top) -> dict[str, bytes]:
+    """Every file under ``top``, by '/'-separated relative path, with its bytes."""
+    tree = {}
+    for dirpath, _, files in os.walk(top):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                tree[os.path.relpath(path, top).replace(os.sep, "/")] = fh.read()
+    return tree
+
+
+def tree_digests(tree: dict[str, bytes]) -> dict[str, str]:
+    return {path: hashlib.sha256(data).hexdigest() for path, data in sorted(tree.items())}
+
+
+def pinned_batch(tmp: str, workers: int = 1) -> dict[str, bytes]:
+    """The output tree of BATCH_CFG's traced batch, run in ``tmp``."""
+    cfg = os.path.join(tmp, "headline-300s.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(BATCH_CFG)
+    out = os.path.join(tmp, "out")
+    cli.run_batch(cfg, out, keep_traces=True, workers=workers)
+    return output_tree(out)
+
+
 def _name(label: str, seed: int, node_max: int | None) -> str:
     return f"{label}-s{seed}" + ("" if node_max is None else f"-node_max{node_max}")
 
@@ -87,6 +153,11 @@ def check_here() -> bool:
             ok &= got == want
             verdict = "pass" if got == want else "FAIL"
             print(f"{verdict} {_name(label, seed, node_max)} ({interpreter})", flush=True)
+        got_tree = tree_digests(pinned_batch(tmp))
+        for path in sorted(set(TREE_PINS) | set(got_tree)):
+            same = got_tree.get(path) == TREE_PINS.get(path)
+            ok &= same
+            print(f"{'pass' if same else 'FAIL'} batch/{path} ({interpreter})", flush=True)
     return ok
 
 

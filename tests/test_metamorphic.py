@@ -6,13 +6,13 @@ range) for 300 s of simulated time, static and mobile, seeds 1 and 2.  A
 feature that draws from another subsystem's random stream, or changes what
 the protocol does while it only claims to observe, breaks the relation.
 The batch relation compares whole output trees instead: the number of
-workers and how they are started must not change a byte.
+workers and how they are started must not change a byte, and the serial
+tree must match the digests pinned in ``tests/pins.py``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 from dataclasses import replace
 
 import pytest
@@ -20,6 +20,8 @@ import pytest
 from rplsim import cli, engine
 from rplsim.config import ScenarioConfig, make_variant
 from rplsim.radio import RadioConfig
+
+from . import pins
 
 BASE = ScenarioConfig(
     name="headline", duration_ms=300_000, radio=RadioConfig(tx_range_m=65.0)
@@ -59,63 +61,20 @@ def test_position_tracing_is_passive(mobility, seed):
     assert without(traced, lambda kind: kind == "position") == trace_of(cosec, seed)
 
 
-BATCH_CFG = """
-[scenario]
-name = headline
-duration_s = 300
-modes = baseline attack cosec
-mobility_modes = static mobile
-replay_intervals_s = 1
-seeds = 1 2
-
-[radio]
-tx_range_m = 65
-"""
-
-
-def output_tree(top):
-    """Every file under ``top``, by relative path, with its bytes."""
-    tree = {}
-    for dirpath, _, files in os.walk(top):
-        for name in files:
-            path = os.path.join(dirpath, name)
-            with open(path, "rb") as fh:
-                tree[os.path.relpath(path, top)] = fh.read()
+@pytest.fixture(scope="module")
+def serial_tree(tmp_path_factory):
+    """The serial traced batch's output tree, checked against its pinned digests."""
+    tree = pins.pinned_batch(str(tmp_path_factory.mktemp("serial")))
+    assert pins.tree_digests(tree) == pins.TREE_PINS
     return tree
 
 
-@pytest.fixture(scope="module")
-def batch_cfg(tmp_path_factory):
-    path = tmp_path_factory.mktemp("batch") / "headline-300s.cfg"
-    path.write_text(BATCH_CFG)
-    return str(path)
-
-
-@pytest.fixture(scope="module")
-def serial_tree(batch_cfg, tmp_path_factory):
-    out = tmp_path_factory.mktemp("serial") / "out"
-    cli.run_batch(batch_cfg, str(out), keep_traces=True, workers=1)
-    return output_tree(out)
-
-
-@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
 def test_worker_count_and_start_method_do_not_change_outputs(
-    method, batch_cfg, serial_tree, tmp_path, monkeypatch
+    method, serial_tree, tmp_path, monkeypatch
 ):
     """A traced batch on two workers writes the serial batch's tree."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method on this platform")
     monkeypatch.setattr(cli.multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
-    out = tmp_path / "out"
-    cli.run_batch(batch_cfg, str(out), keep_traces=True, workers=2)
-    assert sorted(serial_tree) == sorted(
-        ["runs.csv", "summary.csv"]
-        + [f"plot_{figure}.dat" for figure in ("pdr", "ae2ed", "ada", "frt")]
-        + [
-            os.path.join("traces", f"{mob}-{variant}-s{seed}.tsv")
-            for mob in ("static", "mobile")
-            for variant in ("baseline", "attack-r1s", "cosec-r1s")
-            for seed in (1, 2)
-        ]
-    )
-    assert output_tree(out) == serial_tree
+    assert pins.pinned_batch(str(tmp_path), workers=2) == serial_tree
