@@ -65,7 +65,10 @@ def run_batch(
     staging = os.path.join(out_dir, ".staging")
     shutil.rmtree(staging, ignore_errors=True)  # left by a batch that was killed
     staged_traces = os.path.join(staging, "traces") if keep_traces else None
-    os.makedirs(staged_traces or staging)
+    try:
+        os.makedirs(staged_traces or staging)
+    except NotADirectoryError as err:  # out_dir, or a directory above it, is a file
+        raise ValueError(f"--out {out_dir}: {err.strerror}") from None
     jobs = [
         (
             label,
@@ -83,10 +86,14 @@ def run_batch(
                 raw = pool.map(_run_one, jobs, chunksize=1)
         else:
             raw = [_run_one(job) for job in jobs]
-        run_metrics = {(label, seed): m for label, seed, m in raw}
-        by_label = {
-            label: [run_metrics[(label, seed)] for seed in batch.seeds]
-            for label, _, _ in variants
+        by_label = {}  # results come back in job order: variants, then seeds
+        for label, _, m in raw:
+            by_label.setdefault(label, []).append(m)
+        duration = batch.base.duration_ms
+        attack_start = batch.base.attacker.attack_start_ms
+        summaries = {
+            label: metrics.summarize(runs, duration, attack_start)
+            for label, runs in by_label.items()
         }
 
         paths = {}
@@ -94,24 +101,19 @@ def run_batch(
         runs_path = os.path.join(staging, "runs.csv")
         with open(runs_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.RUN_CSV_HEADER + "\n")
-            for label, _, _ in variants:
-                for seed, m in zip(batch.seeds, by_label[label]):
+            for label, runs in by_label.items():
+                for seed, m in zip(batch.seeds, runs):
                     fh.write(metrics.run_csv_row(label, seed, m) + "\n")
         paths["runs"] = runs_path
 
         summary_path = os.path.join(staging, "summary.csv")
-        duration = batch.base.duration_ms
-        attack_start = batch.base.attacker.attack_start_ms
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(metrics.AGGREGATE_CSV_HEADER + "\n")
-            for label, _, _ in variants:
-                fh.write(
-                    metrics.aggregate_csv_row(label, by_label[label], duration, attack_start)
-                    + "\n"
-                )
+            for label, summary in summaries.items():
+                fh.write(metrics.aggregate_csv_row(label, summary) + "\n")
         paths["summary"] = summary_path
 
-        paths.update(_write_plot_data(staging, batch, by_label))
+        paths.update(_write_plot_data(staging, batch, by_label, summaries))
         if staged_traces:
             paths["traces"] = staged_traces
             shutil.rmtree(os.path.join(out_dir, "traces"), ignore_errors=True)
@@ -125,25 +127,21 @@ def run_batch(
     return paths
 
 
-def _write_plot_data(out_dir, batch: BatchConfig, by_label) -> dict[str, str]:
-    """The four figure files, from each variant's per-seed RunMetrics."""
-    fmt = metrics.fmt
+def _write_plot_data(out_dir, batch: BatchConfig, by_label, summaries) -> dict[str, str]:
+    """The four figure files: the three mean plots carry each variant's
+    summary.csv cell, plot_frt each attacker's censored mean over its runs."""
     intervals = sorted(batch.replay_intervals_ms)
     mobs = [m for m in ("static", "mobile") if m in batch.mobility_modes]
     duration = batch.base.duration_ms
     attack_start = batch.base.attacker.attack_start_ms
     paths = {}
 
-    def mean_of(label, attr):
-        runs = by_label.get(label)
-        return metrics.aggregate([getattr(m, attr) for m in runs]).mean if runs else None
-
     figures = (
-        ("pdr", "pdr", 1.0, batch.modes),
-        ("ae2ed", "ae2ed_ms", 0.001, batch.modes),
-        ("ada", "ada", 1.0, ("cosec",)),
+        ("pdr", "pdr_mean", batch.modes),
+        ("ae2ed", "ae2ed_mean_s", batch.modes),
+        ("ada", "ada_mean", ("cosec",)),
     )
-    for figure, attr, scale, modes in figures:
+    for figure, column, modes in figures:
         path = os.path.join(out_dir, f"plot_{figure}.dat")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             cols = [f"{mob}-{mode}" for mob in mobs for mode in modes]
@@ -152,34 +150,32 @@ def _write_plot_data(out_dir, batch: BatchConfig, by_label) -> dict[str, str]:
                 row = [f"{interval / 1000:g}"]
                 for mob in mobs:
                     for mode in modes:
-                        row.append(fmt(mean_of(variant_label(mob, mode, interval), attr), scale))
+                        summary = summaries.get(variant_label(mob, mode, interval))
+                        row.append(summary[column] if summary else "NA")
                 fh.write(" ".join(row) + "\n")
         paths[f"plot_{figure}"] = path
 
     path = os.path.join(out_dir, "plot_frt.dat")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# replay_interval_s attacker " + " ".join(f"{m}-cosec_frt_s" for m in mobs) + "\n")
-        attackers = sorted(
-            {
-                a
-                for runs in by_label.values()
-                for m in runs
-                for a in m.frt_ms
-            }
-        )
+        attackers = sorted({a for runs in by_label.values() for m in runs for a in m.frt_ms})
         for interval in intervals:
             for attacker in attackers:
                 row = [f"{interval / 1000:g}", str(attacker)]
                 for mob in mobs:
-                    runs = by_label.get(variant_label(mob, "cosec", interval))
-                    if not runs:
-                        row.append("NA")
-                        continue
+                    runs = by_label.get(variant_label(mob, "cosec", interval), [])
                     vals = metrics.censored_frt_values(runs, duration, attack_start, attacker)
-                    row.append(fmt(metrics.aggregate(vals).mean, 0.001))
+                    row.append(metrics.fmt(metrics.aggregate(vals).mean, 0.001))
                 fh.write(" ".join(row) + "\n")
     paths["plot_frt"] = path
     return paths
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def main(argv=None) -> int:
@@ -191,12 +187,16 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run a scenario batch from a config file")
     run_p.add_argument("config", help="path to the scenario config file")
     run_p.add_argument("--out", required=True, help="output directory for result files")
-    run_p.add_argument("--seeds", help="comma-separated seed list overriding the config")
+    run_p.add_argument(
+        "--seeds", type=_seed_list, help="comma-separated seed list overriding the config"
+    )
     run_p.add_argument("--mode", choices=["baseline", "attack", "cosec"])
     run_p.add_argument("--mobility", choices=["static", "mobile"])
     run_p.add_argument("--trace", action="store_true", help="also write per-run trace files")
     run_p.add_argument("--workers", type=int, default=1, help="parallel run workers")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        run_p.error(f"argument --workers: must be at least 1, got {args.workers}")
 
     logging.basicConfig(
         level=getattr(logging, os.environ.get("RPLSIM_LOG", "WARNING").upper(), logging.WARNING),
@@ -204,13 +204,10 @@ def main(argv=None) -> int:
     )
 
     try:
-        seeds = None
-        if args.seeds:
-            seeds = tuple(int(tok) for tok in args.seeds.split(","))
         paths = run_batch(
             args.config,
             args.out,
-            seeds=seeds,
+            seeds=args.seeds,
             mode=args.mode,
             mobility=args.mobility,
             keep_traces=args.trace,

@@ -48,7 +48,7 @@ class RunMetrics:
     data_sent: int
     data_delivered: int
     false_suspicions: int
-    permanent_blocks_legit: int
+    legit_blocks: int
     overflow_events: int
     loop_drops: int
 
@@ -151,7 +151,7 @@ def from_trace(trace) -> RunMetrics:
         data_sent=sent,
         data_delivered=delivered,
         false_suspicions=wrong["ids_suspect"],
-        permanent_blocks_legit=wrong["ids_block"],
+        legit_blocks=wrong["ids_block"],
         overflow_events=counts["ids_overflow"],
         loop_drops=counts["loop_drop"],
     )
@@ -218,19 +218,6 @@ def censored_frt_values(
 # ---------------------------------------------------------------------------
 # CSV schema (golden-pinned by tests)
 
-RUN_CSV_HEADER = (
-    "scenario,seed,pdr,ae2ed_s,ada,frt_s,block_s,dio_sent,dis_sent,dao_sent,"
-    "data_sent,data_delivered,false_suspicions,legit_blocks,overflow_events,"
-    "loop_drops"
-)
-
-AGGREGATE_CSV_HEADER = (
-    "scenario,runs,pdr_mean,pdr_ci95,ae2ed_mean_s,ae2ed_ci95_s,ada_mean,"
-    "ada_ci95,frt_mean_s,frt_ci95_s,detected_attackers,attacker_slots,"
-    "false_suspicions_mean,legit_blocks_total"
-)
-
-
 def fmt(value, scale=1.0) -> str:
     """One CSV or plot number: scaled, six decimals, ``NA`` when undefined."""
     if value is None:
@@ -245,56 +232,51 @@ def _per_attacker(values: dict[int, int | None]) -> str:
     return rendered or "none"
 
 
+# runs.csv after its scenario and seed columns: (column, cell of one run)
+RUN_CSV_COLUMNS = (
+    ("pdr", lambda m: fmt(m.pdr)),
+    ("ae2ed_s", lambda m: fmt(m.ae2ed_ms, 0.001)),
+    ("ada", lambda m: fmt(m.ada)),
+    ("frt_s", lambda m: _per_attacker(m.frt_ms)),
+    ("block_s", lambda m: _per_attacker(m.block_ms)),
+) + tuple(
+    (count, lambda m, count=count: str(getattr(m, count)))
+    for count in ("dio_sent", "dis_sent", "dao_sent", "data_sent", "data_delivered",
+                  "false_suspicions", "legit_blocks", "overflow_events", "loop_drops")
+)
+RUN_CSV_HEADER = ",".join(["scenario", "seed"] + [column for column, _ in RUN_CSV_COLUMNS])
+
+
 def run_csv_row(label: str, seed: int, m: RunMetrics) -> str:
-    return ",".join(
-        [
-            label,
-            str(seed),
-            fmt(m.pdr),
-            fmt(m.ae2ed_ms, 0.001),
-            fmt(m.ada),
-            _per_attacker(m.frt_ms),
-            _per_attacker(m.block_ms),
-            str(m.dio_sent),
-            str(m.dis_sent),
-            str(m.dao_sent),
-            str(m.data_sent),
-            str(m.data_delivered),
-            str(m.false_suspicions),
-            str(m.permanent_blocks_legit),
-            str(m.overflow_events),
-            str(m.loop_drops),
-        ]
-    )
+    return ",".join([label, str(seed)] + [cell(m) for _, cell in RUN_CSV_COLUMNS])
 
 
-def aggregate_csv_row(
-    label: str, runs: list[RunMetrics], duration_ms: int, attack_start_ms: int
-) -> str:
+def summarize(runs: list[RunMetrics], duration_ms: int, attack_start_ms: int) -> dict[str, str]:
+    """One variant's summary.csv cells by column, in file order, each aggregate made once."""
     pdr = aggregate([m.pdr for m in runs])
     delay = aggregate([m.ae2ed_ms for m in runs])
     ada = aggregate([m.ada for m in runs])
     frt = aggregate(censored_frt_values(runs, duration_ms, attack_start_ms))
-    detected = sum(
-        1 for m in runs for v in m.frt_ms.values() if v is not None
-    )
-    slots = sum(len(m.frt_ms) for m in runs)
-    false_mean = aggregate([float(m.false_suspicions) for m in runs])
-    return ",".join(
-        [
-            label,
-            str(len(runs)),
-            fmt(pdr.mean),
-            fmt(pdr.ci95),
-            fmt(delay.mean, 0.001),
-            fmt(delay.ci95, 0.001),
-            fmt(ada.mean),
-            fmt(ada.ci95),
-            fmt(frt.mean, 0.001),
-            fmt(frt.ci95, 0.001),
-            str(detected),
-            str(slots),
-            fmt(false_mean.mean),
-            str(sum(m.permanent_blocks_legit for m in runs)),
-        ]
-    )
+    return {
+        "runs": str(len(runs)),
+        "pdr_mean": fmt(pdr.mean),
+        "pdr_ci95": fmt(pdr.ci95),
+        "ae2ed_mean_s": fmt(delay.mean, 0.001),
+        "ae2ed_ci95_s": fmt(delay.ci95, 0.001),
+        "ada_mean": fmt(ada.mean),
+        "ada_ci95": fmt(ada.ci95),
+        "frt_mean_s": fmt(frt.mean, 0.001),
+        "frt_ci95_s": fmt(frt.ci95, 0.001),
+        "detected_attackers": str(sum(v is not None for m in runs for v in m.frt_ms.values())),
+        "attacker_slots": str(sum(len(m.frt_ms) for m in runs)),
+        "false_suspicions_mean": fmt(aggregate([float(m.false_suspicions) for m in runs]).mean),
+        "legit_blocks_total": str(sum(m.legit_blocks for m in runs)),
+    }
+
+
+# a variant with no runs still names every column
+AGGREGATE_CSV_HEADER = ",".join(["scenario", *summarize([], 0, 0)])
+
+
+def aggregate_csv_row(label: str, summary: dict[str, str]) -> str:
+    return ",".join([label, *summary.values()])

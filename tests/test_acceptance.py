@@ -248,7 +248,7 @@ def test_criterion_6_response_time(grid):
 
 
 def test_criterion_7_false_positive_safety(grid):
-    blocks = sum(m.permanent_blocks_legit for m in grid.static_clean_ids)
+    blocks = sum(m.legit_blocks for m in grid.static_clean_ids)
     suspicions = [m.false_suspicions for m in grid.static_clean_ids]
     report(
         7,

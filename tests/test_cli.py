@@ -7,7 +7,7 @@ import os
 import pytest
 
 from rplsim import cli, engine, metrics
-from rplsim.config import load_batch
+from rplsim.config import load_batch, variant_label
 from rplsim.trace import read_trace
 
 HEADLINE = os.path.join(os.path.dirname(__file__), "..", "configs", "headline.cfg")
@@ -63,6 +63,17 @@ class TestRunBatch:
         for figure in ("plot_pdr", "plot_ae2ed", "plot_ada", "plot_frt"):
             assert os.path.exists(paths[figure])
             assert read(paths[figure]).decode().startswith("#")
+
+    def test_mean_plots_carry_the_summary_cells(self, tiny_cfg, tmp_path):
+        paths = cli.run_batch(tiny_cfg, str(tmp_path / "out"))
+        header, *rows = read(paths["summary"]).decode().splitlines()
+        summary = {row.split(",")[0]: dict(zip(header.split(","), row.split(","))) for row in rows}
+        for figure, column in (("pdr", "pdr_mean"), ("ae2ed", "ae2ed_mean_s"), ("ada", "ada_mean")):
+            head, row = read(paths[f"plot_{figure}"]).decode().splitlines()
+            variants = head.split()[2:]  # after "# replay_interval_s"
+            assert row.split() == ["1"] + [
+                summary[variant_label(*v.split("-"), 1000)][column] for v in variants
+            ]
 
     def test_byte_stable_across_invocations(self, tiny_cfg, tmp_path):
         first = cli.run_batch(tiny_cfg, str(tmp_path / "a"))
@@ -221,6 +232,32 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "runs.csv" in out and "summary.csv" in out
+
+    def test_out_that_is_a_file_exit_code(self, tiny_cfg, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        code = cli.main(["run", tiny_cfg, "--out", str(afile), "--mode", "baseline"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {afile}: Not a directory\n"
+        assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, tiny_cfg, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", tiny_cfg, "--out", str(tmp_path / "o"), "--seeds", "1",
+                      "--mode", "baseline", "--mobility", "static", "--workers", workers])
+        assert exc.value.code == 2
+        assert f"argument --workers: must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_malformed_seed_list_names_the_flag(self, tiny_cfg, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", tiny_cfg, "--out", str(tmp_path / "o"), "--seeds", "1,,2"])
+        assert exc.value.code == 2
+        assert "argument --seeds: not a comma-separated list of integers: '1,,2'" in (
+            capsys.readouterr().err
+        )
+        assert not os.path.exists(tmp_path / "o")
 
     def test_mode_not_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

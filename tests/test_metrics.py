@@ -116,7 +116,7 @@ class TestHeadlineMetrics:
         assert (m.dio_sent, m.dis_sent, m.dao_sent) == (1, 1, 1)
         assert m.pdr == 1.0
         assert m.false_suspicions == 1
-        assert m.permanent_blocks_legit == 1
+        assert m.legit_blocks == 1
         assert m.overflow_events == 1
         assert m.loop_drops == 1
 

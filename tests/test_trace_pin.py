@@ -78,6 +78,6 @@ def test_one_pass_metrics_match_the_reference_functions(run_trace, label, seed, 
     assert got.false_suspicions == sum(
         1 for rec in trace if rec[2] == "ids_suspect" and rec[3] not in attackers
     )
-    assert got.permanent_blocks_legit == sum(
+    assert got.legit_blocks == sum(
         1 for rec in trace if rec[2] == "ids_block" and rec[3] not in attackers
     )
