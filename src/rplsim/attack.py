@@ -30,6 +30,7 @@ class AttackerConfig:
 class AttackerState:
     config: AttackerConfig
     captured: DioMessage | None = None
+    replay: DioMessage | None = None  # the captured DIO under the attacker's address
 
     def overhear(self, dio: DioMessage) -> None:
         """Keep the first DIO overheard, so every replay is byte-identical."""
@@ -41,14 +42,16 @@ def attacker_step(addr: int, state: AttackerState, now: int) -> DioMessage | Non
     """One replay tick: the captured payload under the attacker's address.
 
     Returns None (silent skip) before the attack start or while nothing has
-    been captured yet.
+    been captured yet, and otherwise the same frozen message every time.
     """
     if now < state.config.attack_start_ms or state.captured is None:
         return None
-    captured = state.captured
-    return DioMessage(
-        src=addr,
-        dodag_id=captured.dodag_id,
-        version=captured.version,
-        rank=captured.rank,
-    )
+    if state.replay is None:
+        captured = state.captured
+        state.replay = DioMessage(
+            src=addr,
+            dodag_id=captured.dodag_id,
+            version=captured.version,
+            rank=captured.rank,
+        )
+    return state.replay

@@ -173,9 +173,13 @@ def _write_plot_data(out_dir, batch: BatchConfig, by_label, summaries) -> dict[s
 
 def _seed_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        seeds = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+    repeated = sorted({seed for seed in seeds if seeds.count(seed) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"seeds must not repeat: {', '.join(map(str, repeated))}")
+    return seeds
 
 
 def main(argv=None) -> int:

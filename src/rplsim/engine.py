@@ -22,8 +22,9 @@ the same frame with its ``attempt`` bumped rather than building a new one.
 Probe strobes have their own delivery handler, which re-queues a failed
 strobe in place.  Every frame charges the congestion window of every node in
 range of the sender.  Each sender's in-range receivers are kept as an exact
-list, rebuilt at start and after every mobility step (the only times
-positions change), so delivering a frame computes no distances.
+list, computed on the sender's first transmission after a mobility step (the
+only times positions change), so every later frame of it computes no
+distances.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
@@ -73,6 +74,18 @@ class Frame:
     attempt: int = 1
 
 
+class _InRange(dict):
+    """Sender id -> ``Radio.in_range`` row, computed on first lookup; clear when positions move."""
+
+    def __init__(self, radio: Radio, positions: list[list[float]]):
+        super().__init__()
+        self.radio, self.positions = radio, positions
+
+    def __missing__(self, node: int) -> list[int]:
+        row = self[node] = self.radio.in_range(self.positions, node)
+        return row
+
+
 def _stream(seed: int, name: str) -> random.Random:
     # string seeding hashes with sha512: stable across processes and runs
     return random.Random(f"{seed}/{name}")
@@ -111,7 +124,7 @@ class Simulation:
         )
 
         self._tx_free_at = [0] * scenario.n_nodes  # when each transmitter idles
-        self._in_range = self.radio.in_range_lists(self.positions)
+        self._in_range = _InRange(self.radio, self.positions)
         # (node, target) -> no new probe before this time: inf while one is
         # in flight, then the end of its chain plus the cooldown
         self._next_probe_at: dict[tuple[int, int], float] = {}
@@ -433,7 +446,7 @@ class Simulation:
 
     def _on_mobility_step(self) -> None:
         self.mobility.move(self.positions, MOBILITY_STEP_MS, self.now)
-        self._in_range = self.radio.in_range_lists(self.positions)
+        self._in_range.clear()
         if self.scenario.trace_positions:
             for node_id, (x, y) in enumerate(self.positions):
                 self._record(self.now, node_id, "position", f"{x:.3f}", f"{y:.3f}")

@@ -1,15 +1,16 @@
 """Unit-disk propagation with airtime congestion, plus node mobility.
 
-Reachability is a hard disk of ``tx_range_m``: ``Radio.in_range_lists`` gives
-every sender the ascending ids of the nodes within range, and the engine
-rebuilds those lists whenever positions change.  Every frame heard at a
-receiver (addressed to it or not) charges that receiver's load in the one
-current congestion window with the frame's airtime (frames come in time
-order, so all loads restart at zero when a new window opens); once a load
-exceeds ``capacity_per_window * airtime_per_msg_ms``, further frames to that
-receiver are lost with probability that escalates with the excess.  Receivers
-that are themselves transmitting when a frame lands miss it outright (half
-duplex).  Loss is drawn in receiver order as frames are charged.
+Reachability is a hard disk of ``tx_range_m``: ``Radio.in_range`` gives one
+sender the ascending ids of the nodes within range, and the engine computes
+that row on the sender's first transmission after positions change.  Every
+frame heard at a receiver (addressed to it or not) charges that receiver's
+load in the one current congestion window with the frame's airtime (frames
+come in time order, so all loads restart at zero when a new window opens);
+once a load exceeds ``capacity_per_window * airtime_per_msg_ms``, further
+frames to that receiver are lost with probability that escalates with the
+excess.  Receivers that are themselves transmitting when a frame lands miss
+it outright (half duplex).  Loss is drawn in receiver order as frames are
+charged.
 
 Mobility implements the random waypoint model: pick a uniform point in the
 area, walk to it at a uniformly drawn speed, pause, repeat.
@@ -64,20 +65,22 @@ class Radio:
         self._win = 0
         self._occupied = [0] * n_nodes
 
-    def in_range_lists(self, positions) -> list[list[int]]:
-        """For each node id, the ascending ids of the other nodes in range.
+    def in_range(self, positions, node: int) -> list[int]:
+        """The ascending ids of the other nodes in range of ``node``.
 
-        ``positions`` is indexed by node id.  Each pair's distance is
-        computed once, so reachability is symmetric by construction.
+        ``positions`` is indexed by node id.  ``math.dist`` is exactly
+        symmetric, so reachability is too.
         """
-        reach = self.config.tx_range_m
-        lists: list[list[int]] = [[] for _ in positions]
-        for a, pos_a in enumerate(positions):
-            for b in range(a + 1, len(positions)):
-                if math.dist(pos_a, positions[b]) <= reach:
-                    lists[a].append(b)
-                    lists[b].append(a)
-        return lists
+        here, reach, dist = positions[node], self.config.tx_range_m, math.dist
+        return [
+            other
+            for other, there in enumerate(positions)
+            if other != node and dist(here, there) <= reach
+        ]
+
+    def in_range_lists(self, positions) -> list[list[int]]:
+        """``in_range`` for every node id, in id order."""
+        return [self.in_range(positions, node) for node in range(len(positions))]
 
     def deliver(
         self,

@@ -96,6 +96,9 @@ class NodeState:
     version: int = 1
     dodag_id: int = 0
     data_seq: int = 0
+    # the last select_parent changed neither parent nor rank, and no input
+    # of it has changed since: running it again would change nothing
+    settled: bool = False
 
     def __post_init__(self) -> None:
         if self.role is Role.ROOT:
@@ -153,9 +156,10 @@ def select_parent(node: NodeState) -> list[tuple]:
     """Re-run parent selection; returns actions for any topology change."""
     if node.role is not Role.SENSOR:
         return []
+    before = (node.preferred_parent, node.rank)
     current = None
     if node.preferred_parent is not None and node.rank is not None:
-        current = (node.preferred_parent, node.rank)
+        current = before
     choice = objective_function(eligible_candidates(node), current)
     actions: list[tuple] = []
     if choice is None:
@@ -164,19 +168,21 @@ def select_parent(node: NodeState) -> list[tuple]:
             node.rank = None
             actions.append(("parent_lost",))
             actions.append(("trickle_reset",))
-        return actions
-    addr, new_rank = choice
-    if addr != node.preferred_parent:
-        actions.append(("parent_switch", node.preferred_parent, addr))
-        actions.append(("send_dao", addr))
-        actions.append(("trickle_reset",))
-        node.preferred_parent = addr
-        node.rank = new_rank
-    elif node.rank != new_rank:
-        big_move = node.rank is None or abs(new_rank - node.rank) >= RANK_RESET_THRESHOLD
-        node.rank = new_rank
-        if big_move:
+    else:
+        addr, new_rank = choice
+        if addr != node.preferred_parent:
+            actions.append(("parent_switch", node.preferred_parent, addr))
+            actions.append(("send_dao", addr))
             actions.append(("trickle_reset",))
+            node.preferred_parent = addr
+            node.rank = new_rank
+        elif node.rank != new_rank:
+            big_move = node.rank is None or abs(new_rank - node.rank) >= RANK_RESET_THRESHOLD
+            node.rank = new_rank
+            if big_move:
+                actions.append(("trickle_reset",))
+    # not idempotent otherwise: eligibility reads the rank this call just set
+    node.settled = (node.preferred_parent, node.rank) == before
     return actions
 
 
@@ -195,6 +201,7 @@ def handle_dio(node: NodeState, dio: DioMessage) -> list[tuple]:
     actions: list[tuple] = []
     if dio.version > node.version:
         node.version = dio.version
+        node.settled = False
         if node.role is Role.SENSOR:
             node.rank = None
             node.preferred_parent = None
@@ -204,9 +211,10 @@ def handle_dio(node: NodeState, dio: DioMessage) -> list[tuple]:
     if cand is None:
         cand = Candidate(addr=dio.src, advertised_rank=dio.rank, version=dio.version)
         node.candidates[dio.src] = cand
-    else:
+    elif cand.advertised_rank != dio.rank or cand.version != dio.version:
         cand.advertised_rank = dio.rank
         cand.version = dio.version
+        node.settled = False
 
     if node.role is Role.ROOT:
         node.trickle.counter += 1
@@ -217,7 +225,8 @@ def handle_dio(node: NodeState, dio: DioMessage) -> list[tuple]:
         return actions
 
     before = (node.preferred_parent, node.rank)
-    actions.extend(select_parent(node))
+    if not node.settled:
+        actions.extend(select_parent(node))
     if (node.preferred_parent, node.rank) == before:
         node.trickle.counter += 1  # consistent advertisement
     return actions
@@ -240,12 +249,14 @@ def note_probe_result(node: NodeState, target: int, ok: bool) -> list[tuple]:
     cand = node.candidates.get(target)
     if cand is None:
         return []
+    if ok or cand.confirmed:  # a failed probe of an unconfirmed one changes nothing
+        node.settled = False
     if ok:
         cand.confirmed = True
         cand.etx = ETX_INIT
     else:
         cand.confirmed = False
-    return select_parent(node)
+    return [] if node.settled else select_parent(node)
 
 
 def note_link_outcome(

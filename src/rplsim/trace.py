@@ -10,10 +10,15 @@ from __future__ import annotations
 
 
 def write_trace(trace, path) -> None:
+    # one "%s\t...%s\n" per record length: %s calls str, as a join would
+    layouts: dict[int, str] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write = fh.write
         for rec in trace:
-            fh.write("\t".join(str(fieldval) for fieldval in rec))
-            fh.write("\n")
+            layout = layouts.get(len(rec))
+            if layout is None:
+                layout = layouts[len(rec)] = "\t".join(["%s"] * len(rec)) + "\n"
+            write(layout % rec)
 
 
 def _parse_field(token: str):

@@ -259,6 +259,13 @@ class TestMain:
         )
         assert not os.path.exists(tmp_path / "o")
 
+    def test_repeated_seed_names_the_flag(self, tiny_cfg, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", tiny_cfg, "--out", str(tmp_path / "o"), "--seeds", "1,1"])
+        assert exc.value.code == 2
+        assert "argument --seeds: seeds must not repeat: 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_mode_not_in_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[scenario]\nmodes = baseline\nreplications = 1\n")

@@ -307,19 +307,45 @@ class TestInRangeLists:
             for i in range(len(pos))
         ]
 
-    def test_lists_match_distance_scan_while_nodes_move(self):
+    @staticmethod
+    def mobile_sim():
         sc = make_variant(small_base(radio=RadioConfig(tx_range_m=50.0)), "attack", "mobile")
-        sim = engine.Simulation(sc, seed=4)
-        seen = [sim._in_range]
-        assert sim._in_range == self.brute_force(sim)
+        return engine.Simulation(sc, seed=4)
+
+    def test_lists_match_distance_scan_while_nodes_move(self):
+        sim = self.mobile_sim()
+        n_nodes = sim.scenario.n_nodes
+        seen = [[sim._in_range[i] for i in range(n_nodes)]]
+        assert seen[0] == self.brute_force(sim)
         for _ in range(50):
             sim.now += engine.MOBILITY_STEP_MS
             sim._on_mobility_step()
-            assert sim._in_range == self.brute_force(sim)
-            seen.append(sim._in_range)
+            seen.append([sim._in_range[i] for i in range(n_nodes)])
+            assert seen[-1] == self.brute_force(sim)
         # the topology really changed and some pairs are out of range
         assert any(a != b for a, b in zip(seen, seen[1:]))
-        assert any(len(lst) < sc.n_nodes - 1 for lst in seen[-1])
+        assert any(len(lst) < n_nodes - 1 for lst in seen[-1])
+
+    def test_a_row_is_computed_on_first_use_after_a_step(self, monkeypatch):
+        computed = []
+        real_in_range = Radio.in_range
+
+        def in_range(radio, positions, node):
+            computed.append(node)
+            return real_in_range(radio, positions, node)
+
+        monkeypatch.setattr(Radio, "in_range", in_range)
+        sim = self.mobile_sim()
+        computed.clear()  # the layout search reads every row
+        sim.now += engine.MOBILITY_STEP_MS
+        sim._on_mobility_step()
+        assert computed == []  # a step followed by no transmission
+        row = sim._in_range[3]
+        assert sim._in_range[3] is row and computed == [3]
+        sim.now += engine.MOBILITY_STEP_MS
+        sim._on_mobility_step()
+        sim._in_range[3]
+        assert computed == [3, 3]
 
 
 class TestAirtime:
@@ -339,7 +365,7 @@ class TestRetryChains:
         sim = engine.Simulation(sc, seed)
         # static: each sender's receiver list is one fixed object, so its
         # identity names the sender of every delivered frame
-        sender = {id(lst): src for src, lst in enumerate(sim._in_range)}
+        sender = {id(sim._in_range[src]): src for src in range(sc.n_nodes)}
         events = []
         real_deliver, real_note = Radio.deliver, rpl.note_probe_result
         real_link = rpl.note_link_outcome

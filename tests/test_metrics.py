@@ -176,6 +176,22 @@ class TestCsvSchema:
 
 
 class TestTraceRoundTrip:
+    def test_layout_is_tab_joined_str_fields(self, tmp_path):
+        records = [
+            (0, -1, "run_info", "static-attack", 7, 16, 4, 90_000, 1_800_000, 17),
+            (12, 3, "trickle_reset"),
+            (15, 3, "dio_sent", 384, 2),
+            (16, 3, "position", "1.500", "-0.250"),
+            (17, 4, "parent_switch", -1, 3),
+            (18, 5, "x", "", "tab-free text", 10**20),
+            tuple(range(40)) + ("longer than any record kind",),
+            (19, 6, "dio_sent", 512, 3),
+        ]
+        path = tmp_path / "run.tsv"
+        write_trace(records, path)
+        joined = "".join("\t".join(str(f) for f in rec) + "\n" for rec in records)
+        assert path.read_bytes() == joined.encode("utf-8")
+
     def test_file_reproduces_metrics(self, tmp_path):
         sc = make_variant(
             ScenarioConfig(

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from rplsim import rpl
 from rplsim.rpl import (
     MIN_RANK,
     Candidate,
@@ -222,3 +223,78 @@ class TestLineTopologyOracle:
             assert node.rank == MIN_RANK * (hops[node_id] + 1)
         ranks = [sim.nodes[i].rank for i in range(4)]
         assert ranks == sorted(ranks)
+
+
+class TestSettledSkip:
+    """A settled node skips ``select_parent`` and must act as if it had run it."""
+
+    CANDIDATES = range(1, 13)
+
+    @staticmethod
+    def snapshot(node):
+        return (
+            node.preferred_parent,
+            node.rank,
+            node.version,
+            node.trickle.counter,
+            {addr: vars(cand).copy() for addr, cand in node.candidates.items()},
+        )
+
+    def first_divergence(self, seed, before_call, calls=3000):
+        """Drive a node and a twin that never skips with the same random calls.
+
+        ``before_call(node)`` runs on the node under test before each call;
+        the twin's ``settled`` is forced False.  Returns the index of the
+        first call whose actions or resulting state differ, or None, and
+        the number of ``select_parent`` runs each side made.
+        """
+        rng = random.Random(seed)
+        node, twin = make_sensor(node_id=20), make_sensor(node_id=20)
+        advertised = {addr: 128 + 64 * (addr % 6) for addr in self.CANDIDATES}
+        runs = {id(node): 0, id(twin): 0}
+        real_select = rpl.select_parent
+
+        def counting_select(n):
+            runs[id(n)] += 1
+            return real_select(n)
+
+        rpl.select_parent = counting_select
+        try:
+            for index in range(calls):
+                addr = rng.choice(self.CANDIDATES)
+                kind = rng.random()
+                if kind < 0.5:
+                    bump = rng.random()
+                    version = node.version + (1 if bump < 0.01 else -1 if bump < 0.05 else 0)
+                    if rng.random() < 0.1:  # most DIOs repeat the last advertisement
+                        advertised[addr] = rng.choice(range(128, 1025, 64))
+                    dio = DioMessage(addr, 0, version, advertised[addr])
+                    call = lambda n: handle_dio(n, dio)  # noqa: E731
+                elif kind < 0.8:
+                    ok = rng.random() < 0.4
+                    call = lambda n: note_probe_result(n, addr, ok)  # noqa: E731
+                else:
+                    attempts, delivered = rng.randint(1, 2), rng.random() < 0.7
+                    call = lambda n: note_link_outcome(n, addr, attempts, delivered)  # noqa: E731
+                before_call(node)
+                twin.settled = False
+                if call(node) != call(twin) or self.snapshot(node) != self.snapshot(twin):
+                    return index, runs[id(node)], runs[id(twin)]
+        finally:
+            rpl.select_parent = real_select
+        return None, runs[id(node)], runs[id(twin)]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_matches_a_node_that_never_skips(self, seed):
+        diverged, runs, twin_runs = self.first_divergence(seed, lambda node: None)
+        assert diverged is None
+        assert runs < 0.75 * twin_runs  # the skip really happened
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_skipping_on_unchanged_inputs_alone_is_caught(self, seed):
+        # settled forced True: skip whenever the call wrote no input, the
+        # rule that ignores the rank the last select_parent itself moved
+        def naive(node):
+            node.settled = True
+
+        assert self.first_divergence(seed, naive)[0] is not None
