@@ -15,16 +15,17 @@ live in ``attackers`` with nothing but their captured DIO.
 
 The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
 one short airtime unit and are never retried; unicast frames strobe for a
-long airtime per attempt until the destination acknowledges (attackers never
-acknowledge), and a node that is mid-transmission cannot hear incoming
-frames.  A ``Frame`` is a slotted dataclass, and a failed attempt re-queues
-the same frame with its ``attempt`` bumped rather than building a new one.
-Probe strobes have their own delivery handler, which re-queues a failed
-strobe in place.  Every frame charges the congestion window of every node in
-range of the sender.  Each sender's in-range receivers are kept as an exact
-list, computed on the sender's first transmission after a mobility step (the
-only times positions change), so every later frame of it computes no
-distances.
+long airtime per attempt until the destination acknowledges, and a node that
+is mid-transmission cannot hear incoming frames.  Whether a unicast was
+acknowledged is the radio's answer: the engine builds its ``Radio`` with the
+attacker ids as the addresses that never acknowledge.  A ``Frame`` is a
+slotted dataclass, and a failed attempt re-queues the same frame with its
+``attempt`` bumped rather than building a new one.  Probe strobes have their
+own delivery handler, which re-queues a failed strobe in place.  Every frame
+charges the congestion window of every node in range of the sender.  Each
+sender's in-range receivers are kept as an exact list, computed on the
+sender's first transmission after a mobility step (the only times positions
+change), so every later frame of it computes no distances.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
@@ -97,6 +98,7 @@ class Simulation:
         self.seed = seed
         self.now = 0
         self._seq = 0
+        self._end_ms = scenario.duration_ms  # nothing is scheduled past it
         self._heap: list[tuple[int, int, Callable, tuple]] = []
         self.trace: list[tuple] = []
 
@@ -104,7 +106,10 @@ class Simulation:
         self.rng_radio = _stream(seed, "radio")
         self.rng_jitter = _stream(seed, "jitter")
 
-        self.radio = Radio(scenario.radio, self.rng_radio, scenario.n_nodes)
+        # attackers replay DIOs but never acknowledge a unicast
+        self.radio = Radio(
+            scenario.radio, self.rng_radio, scenario.n_nodes, silent=scenario.attacker_ids
+        )
         self.positions = self._build_positions()
         self.nodes: dict[int, NodeState] = {
             node_id: NodeState(
@@ -225,7 +230,7 @@ class Simulation:
 
     def _schedule(self, t: int, handler: Callable, args: tuple) -> None:
         """Queue ``handler(*args)`` at ``t``; nothing past the run's end."""
-        if t > self.scenario.duration_ms:
+        if t > self._end_ms:
             return
         assert t >= self.now, "events may only be scheduled at >= current time"
         self._seq += 1
@@ -267,11 +272,10 @@ class Simulation:
                 for node in (self.nodes[i] for i in got if i not in self.attackers):
                     self._apply_actions(node, rpl.handle_dis(node))
             return
-        # an attacker target consumed its loss draw but never acknowledges
-        acked = got and dst not in self.attackers
+        # a unicast's result is whether its addressee acknowledged
         if frame.kind == "data":
-            self._data_outcome(self.nodes[frame.src], frame, acked)
-        elif frame.kind == "dao" and acked:
+            self._data_outcome(self.nodes[frame.src], frame, got)
+        elif frame.kind == "dao" and got:
             self._record(self.now, dst, "dao_ack_sent", frame.src)
             self._transmit(Frame("dao_ack", dst, frame.src), self.now)
         # dao/dao_ack get no retries and no ETX accounting
@@ -332,15 +336,15 @@ class Simulation:
         """One strobe: a failed attempt with budget left goes straight back on the air."""
         now, src, dst = self.now, frame.src, frame.dst
         tx_free_at = self._tx_free_at
-        got = self.radio.deliver(now, frame.airtime_ms, self._in_range[src], tx_free_at, dst)
-        acked = got and dst not in self.attackers  # attackers draw, never acknowledge
+        acked = self.radio.deliver(now, frame.airtime_ms, self._in_range[src], tx_free_at, dst)
         if not acked and frame.attempt < PROBE_ATTEMPTS:
             # strobes are most heap pops of an attack run, so the frame goes
             # back on the air here with _transmit's and _schedule's rules
-            # inlined; end >= now holds, as end = max(now, ...) + airtime
+            # inlined; end >= now holds, as end = max(now, free) + airtime
             frame.attempt += 1
-            end = tx_free_at[src] = max(now, tx_free_at[src]) + frame.airtime_ms
-            if end <= self.scenario.duration_ms:
+            free = tx_free_at[src]
+            end = tx_free_at[src] = (free if free > now else now) + frame.airtime_ms
+            if end <= self._end_ms:
                 self._seq += 1
                 heapq.heappush(self._heap, (end, self._seq, self._on_probe_delivery, (frame,)))
             return
@@ -461,7 +465,7 @@ class Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> tuple["metrics_mod.RunMetrics", list[tuple]]:
-        duration = self.scenario.duration_ms
+        duration = self._end_ms
         heap = self._heap
         pop = heapq.heappop
         while heap:

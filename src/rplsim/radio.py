@@ -10,7 +10,10 @@ once a load exceeds ``capacity_per_window * airtime_per_msg_ms``, further
 frames to that receiver are lost with probability that escalates with the
 excess.  Receivers that are themselves transmitting when a frame lands miss
 it outright (half duplex).  Loss is drawn in receiver order as frames are
-charged.
+charged.  A unicast reports whether its addressee acknowledged: the radio is
+told at construction which addresses never acknowledge (the attackers), and
+such an addressee still uses its loss draw, so the random stream is the same
+as if it had been heard and ignored.
 
 Mobility implements the random waypoint model: pick a uniform point in the
 area, walk to it at a uniformly drawn speed, pause, repeat.
@@ -19,6 +22,7 @@ area, walk to it at a uniformly drawn speed, pause, repeat.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -52,9 +56,11 @@ class RadioConfig:
 class Radio:
     """Owns the congestion windows and the loss randomness for one run."""
 
-    def __init__(self, config: RadioConfig, rng, n_nodes: int):
+    def __init__(self, config: RadioConfig, rng, n_nodes: int, silent: Iterable[int] = ()):
         self.config = config
         self.rng = rng
+        # addresses that never acknowledge a unicast
+        self._silent = frozenset(silent)
         # bound once: deliver runs for every frame
         self._window_ms = config.window_ms
         self._base_loss = config.base_loss
@@ -94,12 +100,14 @@ class Radio:
 
         Every receiver's congestion window is charged (interference does not
         care who a frame is addressed to).  ``tx_free_at[r] > now`` marks a
-        receiver that is transmitting and so misses the frame.  A broadcast
-        (``draw_for`` None) draws loss for each non-busy receiver in list
-        order, right after charging it, and returns the ids that got the
-        frame.  A unicast charges every receiver, then draws only for
+        receiver that is transmitting and so misses the frame.  A unicast
+        (``draw_for`` an id) charges every receiver, then draws only for
         ``draw_for``, when it is in range and not busy, and returns whether
-        it got the frame.  ``now`` must not go back to an earlier window.
+        it acknowledged: an addressee that never acknowledges uses its draw
+        and returns False.  A broadcast (``draw_for`` None) draws loss for
+        each non-busy receiver in list order, right after charging it, and
+        returns the ids that got the frame.  ``now`` must not go back to an
+        earlier window.
         """
         win = now // self._window_ms
         occupied = self._occupied
@@ -107,29 +115,33 @@ class Radio:
             assert win > self._win, "frames must be delivered in time order"
             self._win = win
             occupied = self._occupied = [0] * len(occupied)
-        base_loss, capacity, random = self._base_loss, self._capacity_ms, self._random
-        if draw_for is None:
-            got = []
+        if draw_for is not None:
             for r in receivers:
-                load = occupied[r] = occupied[r] + airtime_ms
-                if tx_free_at[r] <= now:
-                    p_loss = base_loss
-                    if load > capacity:
-                        p_extra = min(1.0, (load - capacity) / capacity)
-                        p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
-                    if not random() < p_loss:
-                        got.append(r)
-            return got
+                occupied[r] += airtime_ms
+            if draw_for not in receivers or tx_free_at[draw_for] > now:
+                return False
+            if draw_for in self._silent:
+                self._random()  # heard, so the draw is used; never acknowledged
+                return False
+            p_loss = self._base_loss
+            load = occupied[draw_for]
+            capacity = self._capacity_ms
+            if load > capacity:
+                p_extra = min(1.0, (load - capacity) / capacity)
+                p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
+            return not self._random() < p_loss
+        base_loss, capacity, random = self._base_loss, self._capacity_ms, self._random
+        got = []
         for r in receivers:
-            occupied[r] += airtime_ms
-        if draw_for not in receivers or tx_free_at[draw_for] > now:
-            return False
-        p_loss = base_loss
-        load = occupied[draw_for]
-        if load > capacity:
-            p_extra = min(1.0, (load - capacity) / capacity)
-            p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
-        return not random() < p_loss
+            load = occupied[r] = occupied[r] + airtime_ms
+            if tx_free_at[r] <= now:
+                p_loss = base_loss
+                if load > capacity:
+                    p_extra = min(1.0, (load - capacity) / capacity)
+                    p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
+                if not random() < p_loss:
+                    got.append(r)
+        return got
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import types
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -13,6 +15,8 @@ from rplsim.config import ConfigError, ScenarioConfig, make_variant
 from rplsim.ids import Verdict
 from rplsim.radio import MobilityConfig, Radio, RadioConfig
 from rplsim.rpl import Role
+
+from . import pins
 
 
 def small_base(**kwargs):
@@ -454,3 +458,25 @@ class TestRetryChains:
             outcome = next(ev for ev in events[lost:] if ev[0] == "link" and ev[2] == node)
             assert outcome[3:5] == (events[lost][3], 2)
             assert outcome[1] >= t + engine.RETRY_BACKOFF_MS + unicast_ms
+
+
+class TestNoReferenceCycles:
+    """A finished run is freed by reference counting alone.
+
+    A cycle through the ``Simulation`` (say, one of its bound methods stored
+    on itself) keeps each finished run alive until the next collection, and
+    a batch's peak memory grows with it.
+    """
+
+    @pytest.mark.parametrize("label", ["static-attack-r1s", "mobile-cosec-r1s"])
+    def test_a_finished_simulation_is_freed_on_del(self, label):
+        scenario = pins.pinned_variants()[label]
+        gc.disable()
+        try:
+            sim = engine.Simulation(scenario, 1)
+            sim.run()
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()

@@ -72,6 +72,18 @@ class TestLossDraws:
         radio.deliver(0, 10, [1, 2, 3], [0, 0, 10**9, 0], 2)  # addressee busy
         assert self.draws_used(radio) == 1
 
+    def test_silent_addressee_draws_once_and_never_acknowledges(self):
+        # lossless, so an addressee that did acknowledge would return True
+        config = RadioConfig(base_loss=0.0, congestion_model="none")
+        radio = Radio(config, random.Random(42), 4, silent=[2])
+        assert radio.deliver(0, 10, [1, 2, 3], [0] * 4, 2) is False
+        assert self.draws_used(radio) == 1
+        assert radio.deliver(0, 10, [1, 3], [0] * 4, 2) is False  # out of range
+        assert radio.deliver(0, 10, [1, 2, 3], [0, 0, 10**9, 0], 2) is False  # busy
+        assert self.draws_used(radio) == 1
+        assert radio.deliver(0, 10, [1, 2, 3], [0] * 4, 1) is True
+        assert self.draws_used(radio) == 2
+
 
 class TestCongestion:
     def test_saturated_window_guarantees_loss(self):
@@ -125,9 +137,11 @@ class TestCongestion:
 
 class ReferenceRadio:
     """The congestion model as first written: a window id per receiver, every
-    receiver charged before any draw, and loss drawn by a separate function."""
+    receiver charged before any draw, loss drawn by a separate function, and
+    a ``silent`` addressee's outcome thrown away after its draw."""
 
-    def __init__(self, config, rng, n_nodes):
+    def __init__(self, config, rng, n_nodes, silent=()):
+        self.silent = set(silent)
         self.window_ms = config.window_ms
         self.base_loss = config.base_loss
         self.capacity = config.capacity_ms if config.congestion_model == "airtime" else None
@@ -159,6 +173,7 @@ class ReferenceRadio:
             draw_for in receivers
             and tx_free_at[draw_for] <= now
             and not self.lost(self.occupied[draw_for])
+            and draw_for not in self.silent
         )
 
 
@@ -168,15 +183,17 @@ class TestAgainstReference:
     N = 8
 
     @pytest.mark.parametrize(
-        "congestion,base_loss", [("airtime", 0.01), ("airtime", 0.3), ("none", 0.05)]
+        "congestion,base_loss,silent",
+        [("airtime", 0.01, (6, 7)), ("airtime", 0.3, (0, 3)), ("none", 0.05, (1, 2, 5))],
+        ids=["airtime-0.01", "airtime-0.3", "none-0.05"],
     )
-    def test_random_calls_match_the_reference(self, congestion, base_loss):
+    def test_random_calls_match_the_reference(self, congestion, base_loss, silent):
         config = RadioConfig(congestion_model=congestion, base_loss=base_loss)
-        radio = Radio(config, random.Random(7), self.N)
-        reference = ReferenceRadio(config, random.Random(7), self.N)
+        radio = Radio(config, random.Random(7), self.N, silent)
+        reference = ReferenceRadio(config, random.Random(7), self.N, silent)
         calls = random.Random(f"calls/{congestion}/{base_loss}")
         now = 0
-        seen = {"unicast": 0, "busy": 0, "out_of_range": 0, "over_capacity": 0}
+        seen = {"unicast": 0, "busy": 0, "out_of_range": 0, "over_capacity": 0, "silent": 0}
         for _ in range(3000):
             now += calls.choice((0, 0, 1, 7, 30, 99, 100, 250))  # never back in time
             receivers = calls.sample(range(self.N), calls.randint(0, self.N))
@@ -189,6 +206,9 @@ class TestAgainstReference:
             seen["unicast"] += draw_for is not None
             seen["busy"] += any(tx_free_at[r] > now for r in receivers)
             seen["out_of_range"] += draw_for is not None and draw_for not in receivers
+            # a silent addressee that was heard uses its draw, then is ignored
+            heard = draw_for in receivers and tx_free_at[draw_for] <= now
+            seen["silent"] += heard and draw_for in silent
             seen["over_capacity"] += any(
                 reference.occupied[r] > config.capacity_ms for r in receivers
             )
