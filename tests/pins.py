@@ -1,13 +1,16 @@
 """Pinned trace and batch-output digests, and one command that replays them
 on any interpreter.
 
-Four 300 s runs of ``configs/headline.cfg``, each traced the way a
+Five 300 s runs of ``configs/headline.cfg``, each traced the way a
 ``--trace`` batch writes it (positions on, through ``write_trace``), are
 hashed and compared with sha256 digests recorded before the hot path they
 guard was last optimised.  The fourth shrinks the detector tables to
 ``node_max = 8`` so that the overflow path runs too: when it was recorded
 it emitted 4,361 ``ids_overflow``, 175 ``ids_discard``, 13 ``ids_suspect``
-and 3 ``ids_block`` records.  ``TREE_PINS`` holds the sha256 of every file
+and 3 ``ids_block`` records.  The fifth moves the detector's checks off the
+headline's grid (from 120 s every 30 s to from 45 s every 7 s), so that a
+change to when checks fall is seen: when it was recorded it emitted 5,353
+``ids_discard``, 266 ``ids_suspect`` and 65 ``ids_block`` records.  ``TREE_PINS`` holds the sha256 of every file
 that a traced, serial ``run_batch`` of ``BATCH_CFG`` writes (all three
 modes, static and mobile, 1 s replay, seeds 1 and 2, 300 s): ``runs.csv``,
 ``summary.csv``, the four plot files and the twelve traces.  With two seeds
@@ -51,9 +54,15 @@ PINNED = {
 }
 OVERFLOW_PIN = "e6c7a83170f011a3892029d78bfe43a0508ed7b00e6eeda718ed8cc1f38207f1"
 OVERFLOW_RUN = ("static-cosec-r1s", 1, 8)
+SCHEDULE_PIN = "ad0e6801a26e3104826f3379d9075f62a22dbd235b42acbb649f734e416beda8"
+SCHEDULE_RUN = ("mobile-cosec-r1s", 2, None, (45_000, 7_000))
 
-# every pinned run, (label, seed, node_max) -> digest
-PINS = {**{key + (None,): digest for key, digest in PINNED.items()}, OVERFLOW_RUN: OVERFLOW_PIN}
+# every pinned run, (label, seed, node_max, (activation_ms, period_ms)) -> digest
+PINS = {
+    **{key + (None, None): digest for key, digest in PINNED.items()},
+    OVERFLOW_RUN + (None,): OVERFLOW_PIN,
+    SCHEDULE_RUN: SCHEDULE_PIN,
+}
 
 BATCH_CFG = """
 [scenario]
@@ -98,11 +107,24 @@ def pinned_variants() -> dict:
     return {label: scenario for label, scenario, _ in batch.variants()}
 
 
-def pinned_run(variants: dict, label: str, seed: int, node_max: int | None = None) -> list[tuple]:
-    """The trace of one pinned run, positions traced as a ``--trace`` batch has them."""
+def pinned_run(
+    variants: dict,
+    label: str,
+    seed: int,
+    node_max: int | None = None,
+    schedule: tuple[int, int] | None = None,
+) -> list[tuple]:
+    """The trace of one pinned run, positions traced as a ``--trace`` batch has them.
+
+    ``schedule`` is the detector's ``(activation_delay_ms, check_period_ms)``.
+    """
     scenario = replace(variants[label], trace_positions=True)
     if node_max is not None:
         scenario = replace(scenario, ids=replace(scenario.ids, node_max=node_max))
+    if schedule is not None:
+        activation, period = schedule
+        ids = replace(scenario.ids, activation_delay_ms=activation, check_period_ms=period)
+        scenario = replace(scenario, ids=ids)
     return engine.run(scenario, seed)[1]
 
 
@@ -138,8 +160,9 @@ def pinned_batch(tmp: str, workers: int = 1) -> dict[str, bytes]:
     return output_tree(out)
 
 
-def _name(label: str, seed: int, node_max: int | None) -> str:
-    return f"{label}-s{seed}" + ("" if node_max is None else f"-node_max{node_max}")
+def _name(label: str, seed: int, node_max: int | None, schedule: tuple[int, int] | None) -> str:
+    name = f"{label}-s{seed}" + ("" if node_max is None else f"-node_max{node_max}")
+    return name + ("" if schedule is None else "-checks{}+{}ms".format(*schedule))
 
 
 def check_here() -> bool:
@@ -148,11 +171,11 @@ def check_here() -> bool:
     variants = pinned_variants()
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        for (label, seed, node_max), want in PINS.items():
-            got = digest(pinned_run(variants, label, seed, node_max), os.path.join(tmp, "t.tsv"))
+        for run, want in PINS.items():
+            got = digest(pinned_run(variants, *run), os.path.join(tmp, "t.tsv"))
             ok &= got == want
             verdict = "pass" if got == want else "FAIL"
-            print(f"{verdict} {_name(label, seed, node_max)} ({interpreter})", flush=True)
+            print(f"{verdict} {_name(*run)} ({interpreter})", flush=True)
         got_tree = tree_digests(pinned_batch(tmp))
         for path in sorted(set(TREE_PINS) | set(got_tree)):
             same = got_tree.get(path) == TREE_PINS.get(path)

@@ -14,19 +14,29 @@ import pytest
 from rplsim import metrics
 
 from . import pins
-from .pins import OVERFLOW_PIN, OVERFLOW_RUN, PINNED, digest, pinned_run, pinned_variants
+from .pins import (
+    OVERFLOW_PIN,
+    OVERFLOW_RUN,
+    PINNED,
+    SCHEDULE_PIN,
+    SCHEDULE_RUN,
+    digest,
+    pinned_run,
+    pinned_variants,
+)
 
 
 @pytest.fixture(scope="module")
 def run_trace():
-    """``(label, seed, node_max=None) -> trace``, each run made once per module."""
+    """``(label, seed, node_max=None, schedule=None) -> trace``, each run made once per module."""
     variants = pinned_variants()
     done = {}
 
-    def trace(label, seed, node_max=None):
-        if (label, seed, node_max) not in done:
-            done[(label, seed, node_max)] = pinned_run(variants, label, seed, node_max)
-        return done[(label, seed, node_max)]
+    def trace(label, seed, node_max=None, schedule=None):
+        run = (label, seed, node_max, schedule)
+        if run not in done:
+            done[run] = pinned_run(variants, *run)
+        return done[run]
 
     return trace
 
@@ -40,6 +50,11 @@ def test_trace_bytes_are_pinned(run_trace, tmp_path, label, seed):
 def test_overflowing_detector_trace_bytes_are_pinned(run_trace, tmp_path):
     got = digest(run_trace(*OVERFLOW_RUN), tmp_path / "overflow.tsv")
     assert got == OVERFLOW_PIN
+
+
+def test_off_grid_detector_trace_bytes_are_pinned(run_trace, tmp_path):
+    got = digest(run_trace(*SCHEDULE_RUN), tmp_path / "schedule.tsv")
+    assert got == SCHEDULE_PIN
 
 
 def test_pins_hold_with_asserts_stripped(monkeypatch, capfd):
@@ -56,6 +71,14 @@ def test_pins_hold_with_asserts_stripped(monkeypatch, capfd):
 )
 def test_one_pass_metrics_match_the_reference_functions(run_trace, label, seed, node_max):
     trace = run_trace(label, seed, node_max)
+    check_one_pass_metrics(trace)
+
+
+def test_one_pass_metrics_match_the_reference_functions_off_grid(run_trace):
+    check_one_pass_metrics(run_trace(*SCHEDULE_RUN))
+
+
+def check_one_pass_metrics(trace):
     truth = metrics.ground_truth(trace)
     got = metrics.from_trace(trace)
     kinds = Counter(rec[2] for rec in trace)
