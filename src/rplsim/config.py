@@ -180,7 +180,10 @@ def make_variant(
 
 def _ms(raw: str) -> int:
     """Seconds to whole milliseconds, rounded to the nearest."""
-    return round(float(raw) * 1000)
+    seconds = float(raw)
+    if not math.isfinite(seconds):
+        raise ValueError(f"seconds must be finite, got {raw}")
+    return round(seconds * 1000)
 
 
 def _ms_list(raw: str) -> tuple[int, ...]:

@@ -29,7 +29,9 @@ change), so every later frame of it computes no distances.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
-forwarding and DAO delays, and the mobility and detector timer periods.
+forwarding and DAO delays, and the mobility step.  The detector has no
+timer here: ``ids.process_dio`` decides on each reception whether its
+periodic check is due.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ FWD_DELAY_MIN_MS = 20
 FWD_DELAY_MAX_MS = 80
 DAO_DELAY_MS = 100
 MOBILITY_STEP_MS = 1000
-IDS_TICK_MS = 1000
 LAYOUT_TRIES = 200  # random sensor layouts drawn before giving up on connectivity
 
 log = logging.getLogger("rplsim")
@@ -221,8 +222,6 @@ class Simulation:
             self._schedule(scenario.attacker.attack_start_ms, self._on_attack_step, (attacker,))
         if self.mobility.mobile_ids:
             self._schedule(MOBILITY_STEP_MS, self._on_mobility_step, ())
-        if scenario.ids_enabled:
-            self._schedule(IDS_TICK_MS, self._on_ids_tick, ())
         for at_ms in scenario.global_repairs_ms:
             self._schedule(at_ms, self._on_global_repair, ())
 
@@ -442,11 +441,6 @@ class Simulation:
         self._schedule(
             self.now + state.config.replay_interval_ms, self._on_attack_step, (attacker_id,)
         )
-
-    def _on_ids_tick(self) -> None:
-        for node in self.nodes.values():
-            ids_mod.tick(node.ids, self.now)
-        self._schedule(self.now + IDS_TICK_MS, self._on_ids_tick, ())
 
     def _on_mobility_step(self) -> None:
         self.mobility.move(self.positions, MOBILITY_STEP_MS, self.now)

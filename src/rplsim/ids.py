@@ -5,14 +5,16 @@ at most ``node_max`` senders: a neighbor table with per-sender DIO
 bookkeeping (previous/most-recent receipt times, cumulative count) and a
 blacklist mapping each suspect to its detection count.  A sender that would
 overflow either table is counted in ``overflow_count`` and not tracked.
-``process_dio`` runs on every DIO reception; a periodic flag armed by
-``tick`` makes the next reception run ``check_malicious``, which fences the
-neighbor DIO counts with the upper Tukey limit (delta-scaled IQR) and
-suspects any sender that is both above the fence and transmitting with a
-suspiciously small inter-DIO gap.  A sender is suspected
-``block_threshold - 1`` times (so the threshold is at least 2); its next
-detection blocks it permanently, drops its neighbor entry, and its DIOs are
-discarded on arrival from then on.
+``process_dio`` runs on every DIO reception.  Checks fall due on the grid
+``activation_delay_ms + k * check_period_ms``: the first reception at or
+after ``next_check_ms`` runs ``check_malicious`` and moves ``next_check_ms``
+to the first grid point after it, so a node that heard nothing for several
+periods checks once.  The check fences the neighbor DIO counts with the
+upper Tukey limit (delta-scaled IQR) and suspects any sender that is both
+above the fence and transmitting with a suspiciously small inter-DIO gap.  A
+sender is suspected ``block_threshold - 1`` times (so the threshold is at
+least 2); its next detection blocks it permanently, drops its neighbor
+entry, and its DIOs are discarded on arrival from then on.
 
 All timestamps are integer virtual milliseconds supplied by the caller; the
 module itself never reads a clock, so identical call sequences produce
@@ -22,7 +24,7 @@ and a reception that runs no check returns a shared one (``DISCARDED`` etc.).
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass, field
 
 from .outliers import compute_quartiles
@@ -55,19 +57,14 @@ class IdsConfig:
         if self.block_threshold < 2:
             # the first detection only suspects, so a block takes at least two
             raise ValueError("block_threshold must be >= 2")
-        if self.fence_delta <= 0:
-            raise ValueError("fence_delta must be positive")
+        if not 0 < self.fence_delta < math.inf:
+            raise ValueError("fence_delta must be positive and finite")
         if self.node_max < 1:
             raise ValueError("node_max must be >= 1")
         if self.activation_delay_ms < 0:
             raise ValueError("activation_delay_ms must be >= 0")
         if self.check_period_ms < 1:
             raise ValueError("check_period_ms must be >= 1")
-
-
-class Verdict(enum.Enum):
-    ACCEPT = "accept"
-    DISCARD_BLOCKED = "discard_blocked"
 
 
 @dataclass(frozen=True)
@@ -77,18 +74,18 @@ class DioVerdict:
     ``newly_suspected`` lists the suspicion events raised by an embedded
     malicious-check (first detection and repeat detections short of the block
     threshold); ``newly_blocked`` lists senders that reached the threshold on
-    this reception.
+    this reception; ``discarded`` marks a blocked sender's DIO.
     """
 
-    verdict: Verdict
+    discarded: bool = False
     newly_suspected: tuple[int, ...] = ()
     newly_blocked: tuple[int, ...] = ()
     overflow: bool = False
 
 
-DISCARDED = DioVerdict(Verdict.DISCARD_BLOCKED)
-ACCEPTED = DioVerdict(Verdict.ACCEPT)
-ACCEPTED_OVERFLOW = DioVerdict(Verdict.ACCEPT, overflow=True)
+DISCARDED = DioVerdict(discarded=True)
+ACCEPTED = DioVerdict()
+ACCEPTED_OVERFLOW = DioVerdict(overflow=True)
 
 
 @dataclass
@@ -99,16 +96,18 @@ class IdsState:
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     # suspect -> detection count; blocked once the count reaches block_threshold
     blacklist: dict[int, int] = field(default_factory=dict)
-    active: bool = False
-    last_armed_ms: int | None = None
     overflow_count: int = 0
+    next_check_ms: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.next_check_ms = self.config.activation_delay_ms
 
     def is_blocked(self, addr: int) -> bool:
         return self.blacklist.get(addr, 0) >= self.config.block_threshold
 
 
 def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
-    """Account for one received DIO and run any due malicious-check.
+    """Account for one received DIO and run the malicious-check if one is due.
 
     Blocked senders are rejected before any table mutation.  Known senders
     get their timestamps shifted and count incremented; unknown senders get
@@ -131,11 +130,13 @@ def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
         overflow = True
         state.overflow_count += 1
 
-    if not state.active:
+    if now < state.next_check_ms:
         return ACCEPTED_OVERFLOW if overflow else ACCEPTED
+    period = state.config.check_period_ms
+    # the first grid point after now, however many points the silence skipped
+    state.next_check_ms = now + period - (now - state.config.activation_delay_ms) % period
     suspected, blocked = check_malicious(state)
-    state.active = False
-    return DioVerdict(Verdict.ACCEPT, tuple(suspected), tuple(blocked), overflow)
+    return DioVerdict(False, tuple(suspected), tuple(blocked), overflow)
 
 
 def check_malicious(state: IdsState) -> tuple[list[int], list[int]]:
@@ -177,16 +178,6 @@ def check_malicious(state: IdsState) -> tuple[list[int], list[int]]:
     return suspected, blocked
 
 
-def tick(state: IdsState, now: int) -> None:
-    """Arm the malicious-check flag once per check period after activation."""
-    cfg = state.config
-    if now < cfg.activation_delay_ms:
-        return
-    if state.last_armed_ms is None or now - state.last_armed_ms >= cfg.check_period_ms:
-        state.active = True
-        state.last_armed_ms = now
-
-
 def snapshot(state: IdsState) -> dict:
     """Serializable view of the full state, for golden tests and debugging."""
     return {
@@ -197,6 +188,6 @@ def snapshot(state: IdsState) -> dict:
         "blacklist": [
             [addr, count, state.is_blocked(addr)] for addr, count in state.blacklist.items()
         ],
-        "active": state.active,
+        "next_check_ms": state.next_check_ms,
         "overflow_count": state.overflow_count,
     }

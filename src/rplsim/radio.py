@@ -37,8 +37,8 @@ class RadioConfig:
     strobe_airtime_ms: int = 100  # occupancy of an unacknowledged unicast try
 
     def __post_init__(self) -> None:
-        if self.tx_range_m <= 0:
-            raise ValueError("tx_range_m must be positive")
+        if not 0 < self.tx_range_m < math.inf:
+            raise ValueError("tx_range_m must be positive and finite")
         if not 0.0 <= self.base_loss < 1.0:
             raise ValueError("base_loss must be in [0, 1)")
         if self.congestion_model not in ("airtime", "none"):
@@ -155,10 +155,10 @@ class MobilityConfig:
     def __post_init__(self) -> None:
         if self.model not in ("static", "random_waypoint"):
             raise ValueError("model must be 'static' or 'random_waypoint'")
-        if not 0 < self.speed_min <= self.speed_max:
-            raise ValueError("need 0 < speed_min <= speed_max")
-        if min(self.area) <= 0:
-            raise ValueError("area must be positive")
+        if not 0 < self.speed_min <= self.speed_max < math.inf:
+            raise ValueError("need 0 < speed_min <= speed_max < inf")
+        if not all(0 < side < math.inf for side in self.area):
+            raise ValueError("area must be positive and finite")
         if self.pause_ms < 0:
             raise ValueError("pause_ms must be >= 0")
 

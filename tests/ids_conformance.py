@@ -9,18 +9,20 @@ a line tracer to certify full coverage of the ids module.
 from __future__ import annotations
 
 from rplsim.ids import (
+    ACCEPTED,
     IdsConfig,
     IdsState,
     NeighborEntry,
-    Verdict,
     check_malicious,
     process_dio,
     snapshot,
-    tick,
 )
 
 ATTACK_COUNTS = [7, 8, 6, 1, 4, 2]  # legit neighbor counts alongside a flooder
 FLAT_COUNTS = [3, 4, 5, 3, 4]  # low-spread background for fence tests
+# an activation later than every reception of the scenarios that take it:
+# none of their receptions runs a check until the scenario sets next_check_ms
+LATE_ACTIVATION_MS = 2_000_000
 
 
 def fresh_state(**overrides) -> IdsState:
@@ -33,21 +35,21 @@ def scenario_insert_update():
     assert snapshot(state) == {
         "neighbors": [],
         "blacklist": [],
-        "active": False,
+        "next_check_ms": 120_000,
         "overflow_count": 0,
     }
 
     v = process_dio(state, 7, 1000)
-    assert v.verdict is Verdict.ACCEPT and not v.overflow
+    assert not v.discarded and not v.overflow
     assert snapshot(state) == {
         "neighbors": [[7, 0, 1000, 1]],
         "blacklist": [],
-        "active": False,
+        "next_check_ms": 120_000,
         "overflow_count": 0,
     }
 
     v = process_dio(state, 7, 1200)
-    assert v.verdict is Verdict.ACCEPT
+    assert not v.discarded
     assert snapshot(state)["neighbors"] == [[7, 1000, 1200, 2]]
     assert len(state.neighbors) == 1
 
@@ -60,14 +62,14 @@ def scenario_early_detection_no_mutation():
 
     before = snapshot(state)
     v = process_dio(state, 3, 900)
-    assert v.verdict is Verdict.DISCARD_BLOCKED
+    assert v.discarded
     assert v.newly_suspected == () and v.newly_blocked == ()
     assert snapshot(state) == before
 
     # merely suspected senders are still accepted and tracked
     state.blacklist[3] = 2
     v = process_dio(state, 3, 900)
-    assert v.verdict is Verdict.ACCEPT
+    assert not v.discarded
     assert snapshot(state)["neighbors"] == [[3, 500, 900, 2]]
 
 
@@ -77,11 +79,11 @@ def scenario_table_overflow():
     assert not process_dio(state, 11, 100).overflow
     assert not process_dio(state, 22, 200).overflow
     v = process_dio(state, 33, 300)
-    assert v.verdict is Verdict.ACCEPT and v.overflow
+    assert not v.discarded and v.overflow
     assert snapshot(state) == {
         "neighbors": [[11, 0, 100, 1], [22, 0, 200, 1]],
         "blacklist": [],
-        "active": False,
+        "next_check_ms": 120_000,
         "overflow_count": 1,
     }
 
@@ -116,7 +118,7 @@ def scenario_gap_guard():
     """Outlier count alone is not enough: the inter-DIO gap must be small."""
 
     def build(last_gap, **cfg):
-        state = fresh_state(node_max=8, **cfg)
+        state = fresh_state(node_max=8, activation_delay_ms=LATE_ACTIVATION_MS, **cfg)
         _populate(state, FLAT_COUNTS)
         t = 1_000_000
         for k in range(50):
@@ -140,7 +142,7 @@ def scenario_gap_guard():
 def scenario_escalation_to_block():
     """Detections accumulate across checks until the permanent block."""
     cfg_max = 8
-    state = fresh_state(node_max=cfg_max)
+    state = fresh_state(node_max=cfg_max, activation_delay_ms=LATE_ACTIVATION_MS)
     _populate(state, ATTACK_COUNTS)
     attacker = 9
     t = 1_000_000
@@ -150,14 +152,14 @@ def scenario_escalation_to_block():
 
     block_at = state.config.block_threshold
     for round_no in range(1, block_at + 1):
-        tick(state, max(t, state.config.activation_delay_ms))
-        assert state.active
+        state.next_check_ms = t
         v = process_dio(state, attacker, t + 200)
         t += 40_000  # beyond one check period before the next round
         if round_no < block_at:
             assert v.newly_suspected == (attacker,) and v.newly_blocked == ()
             assert snapshot(state)["blacklist"] == [[attacker, round_no, False]]
-            # re-prime a small gap for the next round's trigger reception
+            # re-prime a small gap for the next round's trigger reception;
+            # the check this falls due for sees a 39.8 s gap and flags no one
             process_dio(state, attacker, t)
         else:
             assert v.newly_suspected == () and v.newly_blocked == (attacker,)
@@ -170,13 +172,14 @@ def scenario_escalation_to_block():
             for i, c in enumerate(ATTACK_COUNTS)
         ],
         "blacklist": [[attacker, block_at, True]],
-        "active": False,
+        # the grid point after the last check, at 1,193,400 ms
+        "next_check_ms": 1_220_000,
         "overflow_count": 0,
     }
 
     # monotone blocking from now on
     for dt in (1, 2, 3):
-        assert process_dio(state, attacker, t + dt).verdict is Verdict.DISCARD_BLOCKED
+        assert process_dio(state, attacker, t + dt).discarded
     assert len(state.neighbors) == len(ATTACK_COUNTS)
 
 
@@ -196,7 +199,7 @@ def scenario_blocked_record_guard():
 
 def scenario_blacklist_overflow():
     """A full blacklist cannot take new suspects; the event is counted."""
-    state = fresh_state(node_max=6)
+    state = fresh_state(node_max=6, activation_delay_ms=LATE_ACTIVATION_MS)
     _populate(state, FLAT_COUNTS)
     t = 1_000_000
     for k in range(51):
@@ -211,7 +214,7 @@ def scenario_blacklist_overflow():
 def scenario_remove_entry():
     """Blocking a sender frees its place in a full neighbor table."""
     # six is the smallest table whose top count can clear a delta-1 fence
-    state = fresh_state(node_max=6, block_threshold=2)
+    state = fresh_state(node_max=6, block_threshold=2, activation_delay_ms=LATE_ACTIVATION_MS)
     _populate(state, FLAT_COUNTS)
     attacker, newcomer = 9, 10
     t = 1_000_000
@@ -227,26 +230,28 @@ def scenario_remove_entry():
     assert snapshot(state)["blacklist"] == [[attacker, 2, True]]
 
     v = process_dio(state, newcomer, t + 300)
-    assert v.verdict is Verdict.ACCEPT and not v.overflow
+    assert not v.discarded and not v.overflow
     assert snapshot(state)["neighbors"][-1] == [newcomer, 0, t + 300, 1]
     assert state.overflow_count == 1
 
 
-def scenario_tick_gating():
-    """The check flag arms at activation and then once per period."""
+def scenario_check_schedule():
+    """Checks fall due at activation, then on its grid of check periods."""
     state = fresh_state()
-    tick(state, 119_999)
-    assert not state.active
-    tick(state, 120_000)
-    assert state.active
-
-    state.active = False  # consumed by a reception
-    tick(state, 121_000)
-    assert not state.active
-    tick(state, 149_999)
-    assert not state.active
-    tick(state, 150_000)
-    assert state.active
+    # a reception that runs no check returns the shared ACCEPTED verdict
+    for now, checked, next_check in [
+        (119_999, False, 120_000),
+        (120_000, True, 150_000),
+        (121_000, False, 150_000),
+        (149_999, False, 150_000),
+        (150_000, True, 180_000),
+        # a silence of more than one period: one check, then the grid again
+        (250_000, True, 270_000),
+        (269_999, False, 270_000),
+        (270_000, True, 300_000),
+    ]:
+        assert (process_dio(state, 1, now) is not ACCEPTED) == checked
+        assert state.next_check_ms == next_check
 
 
 def scenario_config_validation():
@@ -283,7 +288,7 @@ SCENARIOS = [
     scenario_blocked_record_guard,
     scenario_blacklist_overflow,
     scenario_remove_entry,
-    scenario_tick_gating,
+    scenario_check_schedule,
 ]
 
 

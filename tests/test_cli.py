@@ -211,6 +211,16 @@ class TestMain:
         assert "tx_range_m" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_infinite_duration_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "forever.cfg"
+        cfg.write_text("[scenario]\nduration_s = inf\n")
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: [scenario] duration_s: seconds must be finite, got inf\n"
+        )
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unconnected_layout_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "apart.cfg"
         cfg.write_text(

@@ -18,6 +18,7 @@ from rplsim.config import (
     make_variant,
 )
 from rplsim.ids import IdsConfig
+from rplsim.radio import MobilityConfig, RadioConfig
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -191,6 +192,35 @@ class TestLoadBatch:
         text = "[scenario]\nreplay_intervals_s = " + " ".join(str(ms / 1000) for ms in every)
         batch = load_batch(write_cfg(tmp_path, text, "every.cfg"))
         assert batch.replay_intervals_ms == tuple(every)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_seconds_rejected(self, tmp_path, value):
+        text = f"[scenario]\nduration_s = {value}\n"
+        message = rf"^\[scenario\] duration_s: seconds must be finite, got {value}$"
+        with pytest.raises(ConfigError, match=message):
+            load_batch(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "section,key,value,field,kwargs",
+        [
+            ("ids", "delta", "nan", "fence_delta", dict(fence_delta=math.nan)),
+            ("ids", "delta", "inf", "fence_delta", dict(fence_delta=math.inf)),
+            ("radio", "tx_range_m", "nan", "tx_range_m", dict(tx_range_m=math.nan)),
+            ("radio", "tx_range_m", "inf", "tx_range_m", dict(tx_range_m=math.inf)),
+            ("mobility", "speed_min", "nan", "speed_min", dict(speed_min=math.nan)),
+            ("mobility", "speed_max", "inf", "speed_max", dict(speed_max=math.inf)),
+            ("mobility", "area_m", "nan 150", "area", dict(area=(math.nan, 150.0))),
+            ("mobility", "area_m", "150 inf", "area", dict(area=(150.0, math.inf))),
+        ],
+    )
+    def test_non_finite_floats_rejected(self, tmp_path, section, key, value, field, kwargs):
+        # each used to load: a nan delta never fires, a nan range or area
+        # ends in "no connected layout", an infinite speed teleports nodes
+        with pytest.raises(ConfigError, match=field):
+            load_batch(write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        dataclass = {"ids": IdsConfig, "radio": RadioConfig, "mobility": MobilityConfig}[section]
+        with pytest.raises(ValueError, match=field):
+            dataclass(**kwargs)
 
     def test_packet_size_key_is_gone(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key: data_size_bytes"):

@@ -12,7 +12,6 @@ import pytest
 
 from rplsim import engine, ids, rpl
 from rplsim.config import ConfigError, ScenarioConfig, make_variant
-from rplsim.ids import Verdict
 from rplsim.radio import MobilityConfig, Radio, RadioConfig
 from rplsim.rpl import Role
 
@@ -41,13 +40,44 @@ class TestLayerContract:
         def counting(state, src, now):
             nonlocal discards
             verdict = original(state, src, now)
-            discards += verdict.verdict is Verdict.DISCARD_BLOCKED
+            discards += verdict.discarded
             return verdict
 
         monkeypatch.setattr(ids, "process_dio", counting)
         _, trace = engine.run(make_variant(small_base(), "cosec", "static", 1000), 1)
         assert discards > 0
         assert discards == sum(1 for rec in trace if rec[2] == "ids_discard")
+
+
+class TestDetectorSchedule:
+    def test_each_node_checks_on_its_first_reception_per_grid_interval(self, monkeypatch):
+        sc = make_variant(small_base(), "cosec", "static", 1000)  # 400 s
+        activation, period = sc.ids.activation_delay_ms, sc.ids.check_period_ms
+        sim = engine.Simulation(sc, 1)
+        node_of = {id(node.ids): node.id for node in sim.nodes.values()}
+        accepted, checks = [], []
+        original_process, original_check = ids.process_dio, ids.check_malicious
+
+        def process(state, src, now):
+            verdict = original_process(state, src, now)
+            if not verdict.discarded:
+                accepted.append((node_of[id(state)], now))
+            return verdict
+
+        def check(state):
+            checks.append((node_of[id(state)], sim.now))
+            return original_check(state)
+
+        monkeypatch.setattr(ids, "process_dio", process)
+        monkeypatch.setattr(ids, "check_malicious", check)
+        sim.run()
+        first = {}
+        for node, now in accepted:
+            if now >= activation:
+                first.setdefault((node, (now - activation) // period), (node, now))
+        assert min(now for _, now in checks) >= activation
+        assert checks == list(first.values())
+        assert len({interval for _, interval in first}) == 10  # 120 s to 400 s
 
 
 class TestDeterminism:

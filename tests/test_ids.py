@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from rplsim.ids import (
     ACCEPTED,
+    DISCARDED,
     IdsConfig,
     IdsState,
-    Verdict,
     check_malicious,
     process_dio,
     snapshot,
-    tick,
 )
 from tests import ids_conformance
 
@@ -55,7 +54,7 @@ def test_gap_threshold_defaults():
     assert IdsConfig().gap_threshold_ms == 4500
 
 
-# Event alphabet for random traces: (sender, gap to previous event, arm?).
+# Event alphabet for random traces: (sender, gap to previous event, check due?).
 trace_events = st.lists(
     st.tuples(
         st.integers(min_value=1, max_value=9),
@@ -71,10 +70,10 @@ def run_trace(events, cfg=None):
     state = IdsState(cfg or IdsConfig(node_max=12))
     now = 0
     outcomes = []
-    for sender, gap, arm in events:
+    for sender, gap, due in events:
         now += gap
-        if arm:
-            tick(state, now)
+        if due:
+            state.next_check_ms = now
         outcomes.append(process_dio(state, sender, now))
     return state, outcomes
 
@@ -110,7 +109,7 @@ class TestInvariants:
         for addr in blocked:
             before = copy.deepcopy(state)
             verdict = process_dio(state, addr, 10_000_000)
-            assert verdict.verdict is Verdict.DISCARD_BLOCKED
+            assert verdict is DISCARDED
             assert state == before
 
     @given(trace_events)
@@ -119,10 +118,10 @@ class TestInvariants:
         """Every suspicion implies fence exceedance and a small gap."""
         state = IdsState(IdsConfig(node_max=12))
         now = 0
-        for sender, gap, arm in events:
+        for sender, gap, due in events:
             now += gap
-            if arm:
-                tick(state, now)
+            if due:
+                state.next_check_ms = now
             pre = copy.deepcopy(state)
             verdict = process_dio(state, sender, now)
             for addr in verdict.newly_suspected + verdict.newly_blocked:
@@ -143,7 +142,7 @@ class TestInvariants:
 
 def process_dio_no_check(state, sender, now):
     """Reception bookkeeping without the embedded malicious-check."""
-    state.active = False
+    state.next_check_ms = now + 1
     return process_dio(state, sender, now)
 
 
@@ -151,7 +150,7 @@ def test_single_neighbor_never_flagged():
     state = IdsState(IdsConfig(node_max=4))
     for k in range(1000):
         process_dio(state, 5, 200_000 + k * 100)
-    tick(state, 400_000)
+    state.next_check_ms = 400_000
     verdict = process_dio(state, 5, 400_001)
     assert verdict.newly_suspected == () and verdict.newly_blocked == ()
     assert state.blacklist == {}
@@ -164,7 +163,7 @@ def test_verdicts_cannot_be_modified():
             process_dio(state, i + 1, 1000 * (i + 1) + k * 10_000)
     for k in range(51):
         process_dio(state, 9, 1_000_000 + k * 200)
-    tick(state, 1_010_200)
+    state.next_check_ms = 1_010_200
     checked = process_dio(state, 9, 1_010_200)
     assert checked.newly_suspected == (9,)
     shared = process_dio(state, 1, 1_010_300)
@@ -176,13 +175,12 @@ def test_verdicts_cannot_be_modified():
         assert isinstance(verdict.newly_blocked, tuple)
 
 
-def test_check_consumes_active_flag():
+def test_check_moves_next_check_onto_grid():
     state = IdsState(IdsConfig(node_max=4))
     process_dio(state, 1, 1000)
-    tick(state, 130_000)
-    assert state.active
+    assert state.next_check_ms == 120_000
     process_dio(state, 1, 130_100)
-    assert not state.active
+    assert state.next_check_ms == 150_000
 
 
 def test_suspected_exactly_beta_times_before_block():
@@ -199,7 +197,7 @@ def test_suspected_exactly_beta_times_before_block():
         process_dio(state, 9, now + k * 200)
     now += 60 * 200
     for _ in range(cfg.block_threshold):
-        tick(state, now)
+        state.next_check_ms = now
         verdict = process_dio(state, 9, now + 200)
         suspect_events += len(verdict.newly_suspected)
         block_events += len(verdict.newly_blocked)
