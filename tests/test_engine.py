@@ -105,6 +105,42 @@ class TestDeterminism:
             assert quiet.positions[sensor] == noisy.positions[sensor]
 
 
+class TestDispatchOrder:
+    """Events run in time order, and first in, first out within one millisecond."""
+
+    def test_handlers_run_in_time_then_scheduling_order(self):
+        sc = ScenarioConfig(name="empty", duration_ms=10_000, n_sensors=0, n_attackers=0)
+        sim = engine.Simulation(sc, seed=1)
+        ran = []
+        # name -> what its handler schedules: (time, or None for now, name)
+        children = {
+            "a": [(None, "a1"), (20, "a2")],
+            "a1": [(None, "a11")],
+            "c": [(None, "c1"), (10, "c2"), (None, "c3")],
+        }
+
+        def note(name):
+            ran.append((sim.now, name))
+            for t, child in children.get(name, ()):
+                sim._schedule(sim.now if t is None else t, note, (child,))
+
+        for t, name in [(10, "a"), (10, "b"), (20, "d"), (5, "c"), (10, "e"),
+                        (10_000, "last"), (10_001, "late")]:
+            sim._schedule(t, note, (name,))
+        sim.run()
+        assert ran == [
+            (5, "c"), (5, "c1"), (5, "c3"),
+            (10, "a"), (10, "b"), (10, "e"), (10, "c2"), (10, "a1"), (10, "a11"),
+            (20, "d"), (20, "a2"),
+            (10_000, "last"),
+        ]
+        # nothing is left pending: a second run dispatches no event
+        assert not sim._heap
+        records = len(sim.trace)
+        sim.run()
+        assert len(ran) == 12 and len(sim.trace) == records
+
+
 class TestScenarioEdges:
     def test_root_only_network_reports_null_pdr(self):
         sc = ScenarioConfig(name="empty", duration_ms=300_000, n_sensors=0, n_attackers=0)
