@@ -81,6 +81,7 @@ def run_batch(
     ]
     log.info("running %d jobs (%d variants x %d seeds)", len(jobs), len(variants), len(batch.seeds))
     try:
+        workers = min(workers, len(jobs))  # start no worker that would idle
         if workers > 1:
             with multiprocessing.Pool(workers) as pool:
                 raw = pool.map(_run_one, jobs, chunksize=1)

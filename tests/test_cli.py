@@ -87,6 +87,34 @@ class TestRunBatch:
         assert read(serial["runs"]) == read(parallel["runs"])
         assert read(serial["summary"]) == read(parallel["summary"])
 
+    def test_pool_has_no_more_workers_than_jobs(self, tiny_cfg, tmp_path, monkeypatch):
+        asked = []  # the size of every pool opened
+
+        class RecordingPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, jobs, chunksize=1):
+                return [func(job) for job in jobs]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        one = dict(mode="baseline", mobility="static")
+        serial = cli.run_batch(tiny_cfg, str(tmp_path / "s"), seeds=(1, 2, 3), **one)
+        assert asked == []
+        cli.run_batch(tiny_cfg, str(tmp_path / "one"), seeds=(1,), workers=4, **one)
+        assert asked == []  # a single job runs in-process
+        three = cli.run_batch(tiny_cfg, str(tmp_path / "three"), seeds=(1, 2, 3), workers=4, **one)
+        assert asked == [3]
+        assert read(three["runs"]) == read(serial["runs"])
+        cli.run_batch(tiny_cfg, str(tmp_path / "all"), workers=2)  # 12 jobs
+        assert asked == [3, 2]
+
     def test_mode_and_seed_filters(self, tiny_cfg, tmp_path):
         paths = cli.run_batch(
             tiny_cfg, str(tmp_path / "f"), seeds=(5,), mode="baseline", mobility="static"
