@@ -30,10 +30,14 @@ attacker ids as the addresses that never acknowledge.  A ``Frame`` is a
 slotted dataclass, and a failed attempt re-queues the same frame with its
 ``attempt`` bumped rather than building a new one.  Probe strobes have their
 own delivery handler, which re-queues a failed strobe in place.  Every frame
-charges the congestion window of every node in range of the sender.  Each
-sender's in-range receivers are kept as an exact list, computed on the
+charges the congestion window of every node in range of the sender; the
+radio applies those charges when a draw in the same window reads a load, so
+every draw sees the same load as if each frame were charged on arrival.
+Each sender's in-range receivers are kept as an exact list, computed on the
 sender's first transmission after a mobility step (the only times positions
-change), so every later frame of it computes no distances.
+change), so every later frame of it computes no distances.  The radio may
+hold a row until its frame's window ends, so rows are replaced (the cache is
+cleared), never edited in place.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,

@@ -102,9 +102,6 @@ class IdsState:
     def __post_init__(self) -> None:
         self.next_check_ms = self.config.activation_delay_ms
 
-    def is_blocked(self, addr: int) -> bool:
-        return self.blacklist.get(addr, 0) >= self.config.block_threshold
-
 
 def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
     """Account for one received DIO and run the malicious-check if one is due.
@@ -177,17 +174,3 @@ def check_malicious(state: IdsState) -> tuple[list[int], list[int]]:
                 suspected.append(addr)
     return suspected, blocked
 
-
-def snapshot(state: IdsState) -> dict:
-    """Serializable view of the full state, for golden tests and debugging."""
-    return {
-        "neighbors": [
-            [addr, e.t_previous, e.t_recent, e.dio_count]
-            for addr, e in sorted(state.neighbors.items())
-        ],
-        "blacklist": [
-            [addr, count, state.is_blocked(addr)] for addr, count in state.blacklist.items()
-        ],
-        "next_check_ms": state.next_check_ms,
-        "overflow_count": state.overflow_count,
-    }

@@ -10,10 +10,16 @@ once a load exceeds ``capacity_per_window * airtime_per_msg_ms``, further
 frames to that receiver are lost with probability that escalates with the
 excess.  Receivers that are themselves transmitting when a frame lands miss
 it outright (half duplex).  Loss is drawn in receiver order as frames are
-charged.  A unicast reports whether its addressee acknowledged: the radio is
-told at construction which addresses never acknowledge (the attackers), and
-such an addressee still uses its loss draw, so the random stream is the same
-as if it had been heard and ignored.
+charged.  A charge is applied only when a draw in the same window reads a
+load; charges that no draw reads before the window closes are dropped (in
+an attack run most frames are strobes at an addressee that never
+acknowledges, and nothing reads their charges).  Loads are integer sums, so
+every draw sees the same load as if each frame had been charged on arrival,
+and the draws are made in the same number and order.  A unicast reports
+whether its addressee acknowledged: the radio is told at construction which
+addresses never acknowledge (the attackers), and such an addressee still
+uses its loss draw, so the random stream is the same as if it had been
+heard and ignored.
 
 Mobility implements the random waypoint model: pick a uniform point in the
 area, walk to it at a uniformly drawn speed, pause, repeat.
@@ -67,9 +73,11 @@ class Radio:
         self._random = rng.random
         # airtime a window holds before frames start to be lost; none: never
         self._capacity_ms = config.capacity_ms if config.congestion_model == "airtime" else math.inf
-        # the current window, and the airtime each node has heard in it
+        # the current window, the airtime each node has heard in it, and the
+        # (receivers, airtime) charges of this window not yet added to it
         self._win = 0
         self._occupied = [0] * n_nodes
+        self._pending: list[tuple[list[int], int]] = []
 
     def in_range(self, positions, node: int) -> list[int]:
         """The ascending ids of the other nodes in range of ``node``.
@@ -108,29 +116,41 @@ class Radio:
         each non-busy receiver in list order, right after charging it, and
         returns the ids that got the frame.  ``now`` must not go back to an
         earlier window.
+
+        The radio keeps ``receivers`` until the frame's window ends and
+        applies its charges only when a draw in that window reads a load (see
+        the module docstring), so the caller must not mutate that list
+        afterwards: the engine replaces its in-range rows, never edits them.
         """
         win = now // self._window_ms
-        occupied = self._occupied
         if win != self._win:
             assert win > self._win, "frames must be delivered in time order"
             self._win = win
-            occupied = self._occupied = [0] * len(occupied)
+            self._occupied = [0] * len(self._occupied)
+            self._pending = []
+        pending = self._pending
         if draw_for is not None:
-            for r in receivers:
-                occupied[r] += airtime_ms
+            pending.append((receivers, airtime_ms))
             if draw_for not in receivers or tx_free_at[draw_for] > now:
                 return False
             if draw_for in self._silent:
                 self._random()  # heard, so the draw is used; never acknowledged
                 return False
-            p_loss = self._base_loss
+        # a draw reads a load: apply the window's pending charges first
+        occupied = self._occupied
+        for charged, airtime in pending:
+            for r in charged:
+                occupied[r] += airtime
+        pending.clear()
+        base_loss, capacity, random = self._base_loss, self._capacity_ms, self._random
+        if draw_for is not None:
+            p_loss = base_loss
             load = occupied[draw_for]
-            capacity = self._capacity_ms
             if load > capacity:
                 p_extra = min(1.0, (load - capacity) / capacity)
                 p_loss = 1.0 - (1.0 - p_loss) * (1.0 - p_extra)
-            return not self._random() < p_loss
-        base_loss, capacity, random = self._base_loss, self._capacity_ms, self._random
+            return not random() < p_loss
+        # a broadcast charges each receiver right before its draw
         got = []
         for r in receivers:
             load = occupied[r] = occupied[r] + airtime_ms

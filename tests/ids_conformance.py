@@ -15,7 +15,6 @@ from rplsim.ids import (
     NeighborEntry,
     check_malicious,
     process_dio,
-    snapshot,
 )
 
 ATTACK_COUNTS = [7, 8, 6, 1, 4, 2]  # legit neighbor counts alongside a flooder
@@ -27,6 +26,25 @@ LATE_ACTIVATION_MS = 2_000_000
 
 def fresh_state(**overrides) -> IdsState:
     return IdsState(IdsConfig(**overrides))
+
+
+def is_blocked(state: IdsState, addr: int) -> bool:
+    return state.blacklist.get(addr, 0) >= state.config.block_threshold
+
+
+def snapshot(state: IdsState) -> dict:
+    """Serializable view of the full state, for golden tests and debugging."""
+    return {
+        "neighbors": [
+            [addr, e.t_previous, e.t_recent, e.dio_count]
+            for addr, e in sorted(state.neighbors.items())
+        ],
+        "blacklist": [
+            [addr, count, is_blocked(state, addr)] for addr, count in state.blacklist.items()
+        ],
+        "next_check_ms": state.next_check_ms,
+        "overflow_count": state.overflow_count,
+    }
 
 
 def scenario_insert_update():

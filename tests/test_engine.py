@@ -417,6 +417,36 @@ class TestInRangeLists:
         sim._in_range[3]
         assert computed == [3, 3]
 
+    def test_rows_handed_to_the_radio_are_never_edited(self, monkeypatch):
+        """The radio may hold a receiver list until its frame's window ends."""
+        held = []  # (window, the list passed, a copy taken at the call)
+        checked, rows_moved = 0, set()
+        real_deliver = Radio.deliver
+
+        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+            nonlocal checked
+            win = now // radio.config.window_ms
+            while held and held[0][0] < win:
+                _, row, copy = held.pop(0)
+                assert row == copy
+                checked += 1
+            rows_moved.add(tuple(receivers))
+            held.append((win, receivers, list(receivers)))
+            return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
+
+        monkeypatch.setattr(Radio, "deliver", deliver)
+        sc = make_variant(
+            small_base(duration_ms=300_000, radio=RadioConfig(tx_range_m=50.0)),
+            "cosec",
+            "mobile",
+            1000,
+        )
+        engine.Simulation(sc, seed=4).run()
+        for _, row, copy in held:
+            assert row == copy
+        assert checked > 2_000
+        assert len(rows_moved) > 200  # the rows really change as nodes move
+
 
 class TestAirtime:
     def test_unicast_airtime_is_an_engine_constant(self):

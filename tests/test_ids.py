@@ -16,9 +16,9 @@ from rplsim.ids import (
     IdsState,
     check_malicious,
     process_dio,
-    snapshot,
 )
 from tests import ids_conformance
+from tests.ids_conformance import is_blocked
 
 
 @pytest.mark.parametrize(
@@ -88,7 +88,7 @@ class TestInvariants:
         for addr, entry in state.neighbors.items():
             assert entry.t_previous <= entry.t_recent
             assert entry.dio_count >= 1
-            assert not state.is_blocked(addr)  # a block drops the neighbor entry
+            assert not is_blocked(state, addr)  # a block drops the neighbor entry
         assert len(state.blacklist) <= cfg.node_max
         for count in state.blacklist.values():
             assert 1 <= count <= cfg.block_threshold
@@ -105,7 +105,7 @@ class TestInvariants:
     @settings(max_examples=100, deadline=None)
     def test_blocked_senders_stay_blocked(self, events):
         state, _ = run_trace(events)
-        blocked = [addr for addr in state.blacklist if state.is_blocked(addr)]
+        blocked = [addr for addr in state.blacklist if is_blocked(state, addr)]
         for addr in blocked:
             before = copy.deepcopy(state)
             verdict = process_dio(state, addr, 10_000_000)

@@ -214,6 +214,56 @@ class TestAgainstReference:
             )
         assert min(seen.values()) > 100, seen
 
+    def test_a_strobe_heavy_call_mix_matches_the_reference(self):
+        """An attack run's mix: most frames are strobes whose load no draw reads.
+
+        About 90% of calls are unicasts to an addressee that never
+        acknowledges or is out of range, so most windows close with charges
+        that were never applied, and a broadcast or a legitimate unicast
+        often has to apply many at once.  Both are counted from the call mix.
+        """
+        silent = (10, 11)
+        config = RadioConfig()
+        radio = Radio(config, random.Random(3), 12, silent)
+        reference = ReferenceRadio(config, random.Random(3), 12, silent)
+        calls = random.Random("calls/strobe-heavy")
+        now = 0
+        unapplied = 0  # charges since the last draw that reads a load
+        seen = {"closed_unapplied": 0, "applied_5_or_more": 0, "broadcast": 0, "legit": 0}
+        for _ in range(6000):
+            step = calls.choice((0, 0, 0, 0, 1, 2, 5, 10, 20, 150))
+            if (now + step) // config.window_ms != now // config.window_ms:
+                seen["closed_unapplied"] += unapplied > 0
+                unapplied = 0
+            now += step
+            receivers = sorted(calls.sample(range(12), calls.randint(4, 11)))
+            tx_free_at = [now + calls.choice((-20, 0, 0, 0, 0, 0, 100)) for _ in range(12)]
+            kind = calls.random()
+            if kind < 0.05:
+                draw_for, airtime = None, 10
+            elif kind < 0.1:
+                draw_for, airtime = calls.choice(receivers), calls.choice((10, 100))
+            else:
+                # a strobe: at an addressee that never acknowledges, or one out of range
+                out_of_range = [r for r in range(12) if r not in receivers]
+                if out_of_range and calls.random() < 0.3:
+                    draw_for = calls.choice(out_of_range)
+                else:
+                    draw_for = calls.choice(silent)
+                airtime = 100
+            args = (now, airtime, receivers, tx_free_at, draw_for)
+            assert radio.deliver(*args) == reference.deliver(*args)
+            assert radio.rng.getstate() == reference.rng.getstate()
+            unapplied += draw_for is not None
+            reads = draw_for is None or (
+                draw_for in receivers and tx_free_at[draw_for] <= now and draw_for not in silent
+            )
+            if reads:
+                seen["applied_5_or_more"] += unapplied >= 5
+                seen["broadcast" if draw_for is None else "legit"] += 1
+                unapplied = 0
+        assert min(seen.values()) >= 100, seen
+
     def test_a_frame_from_an_earlier_window_is_rejected(self):
         radio = make_radio()
         radio.deliver(250, 10, [1], IDLE)
