@@ -420,7 +420,7 @@ class TestInRangeLists:
     def test_rows_handed_to_the_radio_are_never_edited(self, monkeypatch):
         """The radio may hold a receiver list until its frame's window ends."""
         held = []  # (window, the list passed, a copy taken at the call)
-        checked, rows_moved = 0, set()
+        checked, rows_seen = 0, set()
         real_deliver = Radio.deliver
 
         def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
@@ -430,7 +430,7 @@ class TestInRangeLists:
                 _, row, copy = held.pop(0)
                 assert row == copy
                 checked += 1
-            rows_moved.add(tuple(receivers))
+            rows_seen.add(tuple(receivers))
             held.append((win, receivers, list(receivers)))
             return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
 
@@ -445,7 +445,7 @@ class TestInRangeLists:
         for _, row, copy in held:
             assert row == copy
         assert checked > 2_000
-        assert len(rows_moved) > 200  # the rows really change as nodes move
+        assert len(rows_seen) > 200  # the rows really change as nodes move
 
 
 class TestAirtime:
