@@ -1,16 +1,19 @@
 """Pinned trace and batch-output digests, and one command that replays them
 on any interpreter.
 
-Five 300 s runs of ``configs/headline.cfg``, each traced the way a
-``--trace`` batch writes it (positions on, through ``write_trace``), are
-hashed and compared with sha256 digests recorded before the hot path they
-guard was last optimised.  The fourth shrinks the detector tables to
+Six runs of ``configs/headline.cfg``, each traced the way a ``--trace``
+batch writes it (positions on, through ``write_trace``), are hashed and
+compared with sha256 digests recorded before the hot path they guard was
+last optimised.  The first five are 300 s long.  The fourth shrinks the detector tables to
 ``node_max = 8`` so that the overflow path runs too: when it was recorded
 it emitted 4,361 ``ids_overflow``, 175 ``ids_discard``, 13 ``ids_suspect``
 and 3 ``ids_block`` records.  The fifth moves the detector's checks off the
 headline's grid (from 120 s every 30 s to from 45 s every 7 s), so that a
 change to when checks fall is seen: when it was recorded it emitted 5,353
-``ids_discard``, 266 ``ids_suspect`` and 65 ``ids_block`` records.  ``TREE_PINS`` holds the sha256 of every file
+``ids_discard``, 266 ``ids_suspect`` and 65 ``ids_block`` records.  The
+sixth is a whole 1800 s mobile attack run, seed 4: it is the one run found
+whose trace changes when a probe strobe may run ahead of an event queued
+before it in the same millisecond.  ``TREE_PINS`` holds the sha256 of every file
 that a traced, serial ``run_batch`` of ``BATCH_CFG`` writes (all three
 modes, static and mobile, 1 s replay, seeds 1 and 2, 300 s): ``runs.csv``,
 ``summary.csv``, the four plot files and the twelve traces.  With two seeds
@@ -56,12 +59,16 @@ OVERFLOW_PIN = "e6c7a83170f011a3892029d78bfe43a0508ed7b00e6eeda718ed8cc1f38207f1
 OVERFLOW_RUN = ("static-cosec-r1s", 1, 8)
 SCHEDULE_PIN = "ad0e6801a26e3104826f3379d9075f62a22dbd235b42acbb649f734e416beda8"
 SCHEDULE_RUN = ("mobile-cosec-r1s", 2, None, (45_000, 7_000))
+FULL_LENGTH_PIN = "96b9d6a6dd7eefb04e7cdcf0728b83c66e8cf497cfd5f8671f14b74870253c15"
+FULL_LENGTH_RUN = ("mobile-attack-r1s", 4, None, None, 1_800_000)
 
-# every pinned run, (label, seed, node_max, (activation_ms, period_ms)) -> digest
+# every pinned run,
+# (label, seed, node_max, (activation_ms, period_ms), duration_ms) -> digest
 PINS = {
-    **{key + (None, None): digest for key, digest in PINNED.items()},
-    OVERFLOW_RUN + (None,): OVERFLOW_PIN,
-    SCHEDULE_RUN: SCHEDULE_PIN,
+    **{key + (None, None, None): digest for key, digest in PINNED.items()},
+    OVERFLOW_RUN + (None, None): OVERFLOW_PIN,
+    SCHEDULE_RUN + (None,): SCHEDULE_PIN,
+    FULL_LENGTH_RUN: FULL_LENGTH_PIN,
 }
 
 BATCH_CFG = """
@@ -113,12 +120,16 @@ def pinned_run(
     seed: int,
     node_max: int | None = None,
     schedule: tuple[int, int] | None = None,
+    duration_ms: int | None = None,
 ) -> list[tuple]:
     """The trace of one pinned run, positions traced as a ``--trace`` batch has them.
 
-    ``schedule`` is the detector's ``(activation_delay_ms, check_period_ms)``.
+    ``schedule`` is the detector's ``(activation_delay_ms, check_period_ms)``;
+    ``duration_ms`` replaces the pinned runs' 300 s.
     """
     scenario = replace(variants[label], trace_positions=True)
+    if duration_ms is not None:
+        scenario = replace(scenario, duration_ms=duration_ms)
     if node_max is not None:
         scenario = replace(scenario, ids=replace(scenario.ids, node_max=node_max))
     if schedule is not None:
@@ -160,9 +171,16 @@ def pinned_batch(tmp: str, workers: int = 1) -> dict[str, bytes]:
     return output_tree(out)
 
 
-def _name(label: str, seed: int, node_max: int | None, schedule: tuple[int, int] | None) -> str:
+def _name(
+    label: str,
+    seed: int,
+    node_max: int | None,
+    schedule: tuple[int, int] | None,
+    duration_ms: int | None,
+) -> str:
     name = f"{label}-s{seed}" + ("" if node_max is None else f"-node_max{node_max}")
-    return name + ("" if schedule is None else "-checks{}+{}ms".format(*schedule))
+    name += "" if schedule is None else "-checks{}+{}ms".format(*schedule)
+    return name + ("" if duration_ms is None else f"-{duration_ms // 1000}s")
 
 
 def check_here() -> bool:

@@ -140,6 +140,27 @@ class TestDispatchOrder:
         sim.run()
         assert len(ran) == 12 and len(sim.trace) == records
 
+    def test_a_strobe_does_not_run_ahead_of_an_event_queued_before_it(self, monkeypatch):
+        sc = make_variant(small_base(duration_ms=1_000), "attack", "static", 1000)
+        sim = engine.Simulation(sc, seed=1)
+        attacker = sc.attacker_ids[0]
+        end = sim.now + sim.scenario.radio.strobe_airtime_ms
+        sender = {id(sim._in_range[src]): src for src in (1, 2)}
+        ran = []
+        real_deliver = Radio.deliver
+
+        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+            if now == end and id(receivers) in sender and draw_for == attacker:
+                ran.append(f"strobe {sender[id(receivers)]}")
+            return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
+
+        monkeypatch.setattr(Radio, "deliver", deliver)
+        sim._maybe_probe(sim.nodes[1], attacker)
+        sim._schedule(end, ran.append, ("note",))
+        sim._maybe_probe(sim.nodes[2], attacker)
+        sim.run()
+        assert ran == ["strobe 1", "note", "strobe 2"]
+
 
 class TestScenarioEdges:
     def test_root_only_network_reports_null_pdr(self):

@@ -15,6 +15,8 @@ from rplsim import metrics
 
 from . import pins
 from .pins import (
+    FULL_LENGTH_PIN,
+    FULL_LENGTH_RUN,
     OVERFLOW_PIN,
     OVERFLOW_RUN,
     PINNED,
@@ -28,12 +30,13 @@ from .pins import (
 
 @pytest.fixture(scope="module")
 def run_trace():
-    """``(label, seed, node_max=None, schedule=None) -> trace``, each run made once per module."""
+    """``(label, seed, node_max=None, schedule=None, duration_ms=None) -> trace``,
+    each run made once per module."""
     variants = pinned_variants()
     done = {}
 
-    def trace(label, seed, node_max=None, schedule=None):
-        run = (label, seed, node_max, schedule)
+    def trace(label, seed, node_max=None, schedule=None, duration_ms=None):
+        run = (label, seed, node_max, schedule, duration_ms)
         if run not in done:
             done[run] = pinned_run(variants, *run)
         return done[run]
@@ -50,6 +53,11 @@ def test_trace_bytes_are_pinned(run_trace, tmp_path, label, seed):
 def test_overflowing_detector_trace_bytes_are_pinned(run_trace, tmp_path):
     got = digest(run_trace(*OVERFLOW_RUN), tmp_path / "overflow.tsv")
     assert got == OVERFLOW_PIN
+
+
+def test_full_length_mobile_attack_trace_bytes_are_pinned(run_trace, tmp_path):
+    got = digest(run_trace(*FULL_LENGTH_RUN), tmp_path / "full-length.tsv")
+    assert got == FULL_LENGTH_PIN
 
 
 def test_off_grid_detector_trace_bytes_are_pinned(run_trace, tmp_path):
