@@ -28,16 +28,30 @@ is mid-transmission cannot hear incoming frames.  Whether a unicast was
 acknowledged is the radio's answer: the engine builds its ``Radio`` with the
 attacker ids as the addresses that never acknowledge.  A ``Frame`` is a
 slotted dataclass, and a failed attempt re-queues the same frame with its
-``attempt`` bumped rather than building a new one.  Probe strobes have their
-own delivery handler, which re-queues a failed strobe in place.  Every frame
-charges the congestion window of every node in range of the sender; the
-radio applies those charges when a draw in the same window reads a load, so
-every draw sees the same load as if each frame were charged on arrival.
-Each sender's in-range receivers are kept as an exact list, computed on the
-sender's first transmission after a mobility step (the only times positions
-change), so every later frame of it computes no distances.  The radio may
-hold a row until its frame's window ends, so rows are replaced (the cache is
-cleared), never edited in place.
+``attempt`` bumped rather than building a new one (probe strobes run in
+trains, below).  Every frame charges the congestion window of every node in
+range of the sender; the radio applies those charges when a draw in the
+same window reads a load, so every draw sees the same load as if each frame
+were charged on arrival.  Each sender's in-range receivers are kept as an
+exact list, computed on the sender's first transmission after a mobility
+step (the only times positions change), so every later frame of it computes
+no distances.  The radio may hold a row until its frame's window ends, so
+rows are replaced (the cache is cleared), never edited in place.
+
+Probe strobes are most of an attack run's events, so the strobes that end
+in the same millisecond and sit next to each other in its bucket are queued
+as one event, a train, that runs them in queue order.  A strobe joins a
+train only when that train is the last entry of its end time's bucket
+(``_trains`` names each time's newest train); otherwise it starts a new
+train.  Nothing runs between two adjacent strobes of a bucket, so running
+them from one event keeps first in, first out within the millisecond, and
+every delivery, draw and record stays in the same order.  While a train
+runs, a failed strobe goes straight back on the air, into the train that
+the last re-queue joined if it ends at the same time; that train is
+forgotten whenever a chain ends, because the end of a chain may queue other
+events.  A train's end time leaves ``_trains`` when the first train of that
+millisecond runs, since no strobe ends at the current time, so the table
+is empty once ``run`` returns.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
@@ -114,6 +128,8 @@ class Simulation:
         # one heap entry per pending time; its bucket runs first in, first out
         self._heap: list[tuple[int, list[tuple[Callable, tuple]]]] = []
         self._buckets: dict[int, list[tuple[Callable, tuple]]] = {}
+        # end time -> the args ``(train,)`` of the newest strobe train queued for it
+        self._trains: dict[int, tuple[list[Frame]]] = {}
         self.trace: list[tuple] = []
 
         self.rng_topology = _stream(seed, "topology")
@@ -264,16 +280,19 @@ class Simulation:
             return self.scenario.radio.strobe_airtime_ms
         return UNICAST_AIRTIME_MS
 
-    def _transmit(self, frame: Frame, not_before: int, handler: Callable | None = None) -> None:
+    def _transmit(self, frame: Frame, not_before: int) -> None:
         """Queue one frame on its sender's transceiver (FIFO in call order).
 
-        Its delivery, ``handler`` (default ``_on_delivery``), runs when the
-        frame's airtime ends.
+        When the frame's airtime ends, a probe strobe runs in its strobe
+        train and any other frame in ``_on_delivery``.
         """
         airtime = frame.airtime_ms = self._airtime(frame)
         tx_free_at = self._tx_free_at
         end = tx_free_at[frame.src] = max(not_before, tx_free_at[frame.src]) + airtime
-        self._schedule(end, handler or self._on_delivery, (frame,))
+        if frame.kind == "probe":
+            self._queue_strobe(frame, end)
+        else:
+            self._schedule(end, self._on_delivery, (frame,))
 
     def _on_delivery(self, frame: Frame) -> None:
         dst = frame.dst
@@ -345,26 +364,52 @@ class Simulation:
         if self._next_probe_at.get(key, 0) > self.now:
             return
         self._next_probe_at[key] = math.inf
-        self._transmit(Frame("probe", node.id, target), self.now, self._on_probe_delivery)
+        self._transmit(Frame("probe", node.id, target), self.now)
 
-    def _on_probe_delivery(self, frame: Frame) -> None:
-        """One strobe: a failed attempt with budget left goes straight back on the air."""
-        now, src, dst = self.now, frame.src, frame.dst
-        tx_free_at = self._tx_free_at
-        acked = self.radio.deliver(now, frame.airtime_ms, self._in_range[src], tx_free_at, dst)
-        if not acked and frame.attempt < PROBE_ATTEMPTS:
+    def _queue_strobe(self, frame: Frame, end: int) -> list[Frame]:
+        """Queue a strobe ending at ``end``: at the tail train of that time's
+        bucket when a train is its last entry, else as a new train.  Returns
+        the train, which later strobes ending at ``end`` may join while
+        nothing else is queued."""
+        trains = self._trains
+        args = trains.get(end)
+        if args is not None and self._buckets[end][-1][1] is args:
+            args[0].append(frame)
+            return args[0]
+        train = [frame]
+        if end <= self._end_ms:  # else the strobe is dropped, as _schedule would
+            trains[end] = args = (train,)
+            self._schedule(end, self._on_strobe_train, args)
+        return train
+
+    def _on_strobe_train(self, train: list[Frame]) -> None:
+        """Run the strobes of one train in order; a failed one with budget left
+        goes straight back on the air."""
+        now, tx_free_at, in_range = self.now, self._tx_free_at, self._in_range
+        deliver = self.radio.deliver
+        self._trains.pop(now, None)
+        # the train the last re-queue joined, and its end time; nothing else
+        # is queued until a chain ends
+        tail, tail_end = None, None
+        for frame in train:
+            src = frame.src
+            acked = deliver(now, frame.airtime_ms, in_range[src], tx_free_at, frame.dst)
+            if acked or frame.attempt >= PROBE_ATTEMPTS:
+                tail = tail_end = None
+                node = self.nodes[src]
+                self._next_probe_at[(src, frame.dst)] = now + PROBE_COOLDOWN_MS
+                self._apply_actions(node, rpl.note_probe_result(node, frame.dst, acked))
+                continue
             # _transmit's end time, computed here: the frame keeps its
-            # airtime, and strobes are most events of an attack run; going
-            # through _transmit made a static attack run about 10% slower
-            # (CPython 3.11, 2-CPU x86-64)
+            # airtime, and a re-queue ending when the last one did joins its
+            # train without a call (strobes are most events of an attack run)
             frame.attempt += 1
             free = tx_free_at[src]
             end = tx_free_at[src] = (free if free > now else now) + frame.airtime_ms
-            self._schedule(end, self._on_probe_delivery, (frame,))
-            return
-        node = self.nodes[src]
-        self._next_probe_at[(src, dst)] = now + PROBE_COOLDOWN_MS
-        self._apply_actions(node, rpl.note_probe_result(node, dst, acked))
+            if end == tail_end:
+                tail.append(frame)
+            else:
+                tail, tail_end = self._queue_strobe(frame, end), end
 
     # -- data path ---------------------------------------------------------
 

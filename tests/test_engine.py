@@ -161,6 +161,38 @@ class TestDispatchOrder:
         sim.run()
         assert ran == ["strobe 1", "note", "strobe 2"]
 
+    def test_a_retry_does_not_run_ahead_of_an_event_a_chain_end_queued(self, monkeypatch):
+        sc = make_variant(small_base(duration_ms=1_000), "attack", "static", 1000)
+        sim = engine.Simulation(sc, seed=1)
+        attacker = sc.attacker_ids[0]
+        strobe_ms = sim.scenario.radio.strobe_airtime_ms
+        end = 2 * strobe_ms  # of the retries of the strobes queued below
+        sender = {id(sim._in_range[src]): src for src in (1, 2, 3)}
+        ran = []
+        real_deliver, real_note = Radio.deliver, rpl.note_probe_result
+
+        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+            if now == end and id(receivers) in sender and draw_for == attacker:
+                ran.append(f"strobe {sender[id(receivers)]}")
+            return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
+
+        def note_probe_result(node, target, ok):
+            # the end of a chain may queue any event, here one at the time
+            # the running train's retries end
+            if sim.now == strobe_ms:
+                sim._schedule(end, ran.append, ("note",))
+            return real_note(node, target, ok)
+
+        monkeypatch.setattr(Radio, "deliver", deliver)
+        monkeypatch.setattr(rpl, "note_probe_result", note_probe_result)
+        # one train at strobe_ms: node 2's strobe is its chain's last, the
+        # others fail and retry
+        sim._transmit(engine.Frame("probe", 1, attacker), 0)
+        sim._transmit(engine.Frame("probe", 2, attacker, attempt=engine.PROBE_ATTEMPTS), 0)
+        sim._transmit(engine.Frame("probe", 3, attacker), 0)
+        sim.run()
+        assert ran == ["strobe 1", "note", "strobe 3"]
+
 
 class TestScenarioEdges:
     def test_root_only_network_reports_null_pdr(self):
@@ -548,15 +580,16 @@ class TestRetryChains:
         monkeypatch.setattr(engine, "heapq", counting)
 
         def requeue_times():
-            # a probe frame is scheduled once per strobe: every appearance
-            # after its first is a re-queue of a failed strobe
+            # a probe frame is a member of one strobe train per strobe: every
+            # appearance after its first is a re-queue of a failed strobe
             seen, times = set(), []
             for t, bucket in sorted(pushed, key=lambda item: item[0]):
                 for handler, args in bucket:
-                    if handler.__func__ is engine.Simulation._on_probe_delivery:
-                        if id(args[0]) in seen:
-                            times.append(t)
-                        seen.add(id(args[0]))
+                    if handler.__func__ is engine.Simulation._on_strobe_train:
+                        for frame in args[0]:
+                            if id(frame) in seen:
+                                times.append(t)
+                            seen.add(id(frame))
             return times
 
         sc = make_variant(small_base(), "attack", "static", 1000)
