@@ -387,7 +387,7 @@ class Simulation:
         goes straight back on the air."""
         now, tx_free_at, in_range = self.now, self._tx_free_at, self._in_range
         deliver = self.radio.deliver
-        self._trains.pop(now, None)
+        self._trains.pop(now, None)  # strobes end after now: now's trains are closed
         # the train the last re-queue joined, and its end time; nothing else
         # is queued until a chain ends
         tail, tail_end = None, None

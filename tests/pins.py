@@ -4,17 +4,17 @@ on any interpreter.
 Six runs of ``configs/headline.cfg``, each traced the way a ``--trace``
 batch writes it (positions on, through ``write_trace``), are hashed and
 compared with sha256 digests recorded before the hot path they guard was
-last optimised.  The first five are 300 s long.  The fourth shrinks the detector tables to
-``node_max = 8`` so that the overflow path runs too: when it was recorded
-it emitted 4,361 ``ids_overflow``, 175 ``ids_discard``, 13 ``ids_suspect``
-and 3 ``ids_block`` records.  The fifth moves the detector's checks off the
-headline's grid (from 120 s every 30 s to from 45 s every 7 s), so that a
-change to when checks fall is seen: when it was recorded it emitted 5,353
-``ids_discard``, 266 ``ids_suspect`` and 65 ``ids_block`` records.  The
-sixth is a whole 1800 s mobile attack run, seed 4: it is the one run found
-whose trace changes when a probe strobe may run ahead of an event queued
-before it in the same millisecond.  ``TREE_PINS`` holds the sha256 of every file
-that a traced, serial ``run_batch`` of ``BATCH_CFG`` writes (all three
+last optimised.  The first five are 300 s long.  The fourth shrinks the
+detector tables to ``node_max = 8`` so that the overflow path runs too:
+when it was recorded it emitted 4,361 ``ids_overflow``, 175
+``ids_discard``, 13 ``ids_suspect`` and 3 ``ids_block`` records.  The fifth
+moves the detector's checks off the headline's grid (from 120 s every 30 s
+to from 45 s every 7 s), so that a change to when checks fall is seen: when
+it was recorded it emitted 5,353 ``ids_discard``, 266 ``ids_suspect`` and
+65 ``ids_block`` records.  The sixth is a whole 1800 s mobile attack run,
+seed 4: it is the one run found whose trace changes when a probe strobe may
+run ahead of an event queued before it in the same millisecond.
+``TREE_PINS`` holds the sha256 of every file that a traced, serial ``run_batch`` of ``BATCH_CFG`` writes (all three
 modes, static and mobile, 1 s replay, seeds 1 and 2, 300 s): ``runs.csv``,
 ``summary.csv``, the four plot files and the twelve traces.  With two seeds
 the ``*_ci95`` columns hold numbers and some ``ada`` cells hold ``NA``.  A

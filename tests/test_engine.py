@@ -140,41 +140,41 @@ class TestDispatchOrder:
         sim.run()
         assert len(ran) == 12 and len(sim.trace) == records
 
-    def test_a_strobe_does_not_run_ahead_of_an_event_queued_before_it(self, monkeypatch):
+    @staticmethod
+    def watch_strobes(monkeypatch, strobes):
+        """A short static attack run, the time ``at`` that ``strobes``
+        strobes queued at 0 end, and the list that names each strobe from
+        sensors 1-3 at the first attacker delivered at ``at``."""
         sc = make_variant(small_base(duration_ms=1_000), "attack", "static", 1000)
         sim = engine.Simulation(sc, seed=1)
-        attacker = sc.attacker_ids[0]
-        end = sim.now + sim.scenario.radio.strobe_airtime_ms
-        sender = {id(sim._in_range[src]): src for src in (1, 2)}
+        at = strobes * sc.radio.strobe_airtime_ms
+        sender = {id(sim._in_range[src]): src for src in (1, 2, 3)}
         ran = []
         real_deliver = Radio.deliver
 
         def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
-            if now == end and id(receivers) in sender and draw_for == attacker:
+            if now == at and id(receivers) in sender and draw_for == sc.attacker_ids[0]:
                 ran.append(f"strobe {sender[id(receivers)]}")
             return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
 
         monkeypatch.setattr(Radio, "deliver", deliver)
+        return sim, at, ran
+
+    def test_a_strobe_does_not_run_ahead_of_an_event_queued_before_it(self, monkeypatch):
+        sim, end, ran = self.watch_strobes(monkeypatch, 1)
+        attacker = sim.scenario.attacker_ids[0]
         sim._maybe_probe(sim.nodes[1], attacker)
         sim._schedule(end, ran.append, ("note",))
         sim._maybe_probe(sim.nodes[2], attacker)
         sim.run()
         assert ran == ["strobe 1", "note", "strobe 2"]
+        assert not sim._trains  # every train's time has run
 
     def test_a_retry_does_not_run_ahead_of_an_event_a_chain_end_queued(self, monkeypatch):
-        sc = make_variant(small_base(duration_ms=1_000), "attack", "static", 1000)
-        sim = engine.Simulation(sc, seed=1)
-        attacker = sc.attacker_ids[0]
+        sim, end, ran = self.watch_strobes(monkeypatch, 2)  # the retries' end
         strobe_ms = sim.scenario.radio.strobe_airtime_ms
-        end = 2 * strobe_ms  # of the retries of the strobes queued below
-        sender = {id(sim._in_range[src]): src for src in (1, 2, 3)}
-        ran = []
-        real_deliver, real_note = Radio.deliver, rpl.note_probe_result
-
-        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
-            if now == end and id(receivers) in sender and draw_for == attacker:
-                ran.append(f"strobe {sender[id(receivers)]}")
-            return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
+        attacker = sim.scenario.attacker_ids[0]
+        real_note = rpl.note_probe_result
 
         def note_probe_result(node, target, ok):
             # the end of a chain may queue any event, here one at the time
@@ -183,7 +183,6 @@ class TestDispatchOrder:
                 sim._schedule(end, ran.append, ("note",))
             return real_note(node, target, ok)
 
-        monkeypatch.setattr(Radio, "deliver", deliver)
         monkeypatch.setattr(rpl, "note_probe_result", note_probe_result)
         # one train at strobe_ms: node 2's strobe is its chain's last, the
         # others fail and retry
