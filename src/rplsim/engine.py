@@ -40,18 +40,16 @@ rows are replaced (the cache is cleared), never edited in place.
 
 Probe strobes are most of an attack run's events, so the strobes that end
 in the same millisecond and sit next to each other in its bucket are queued
-as one event, a train, that runs them in queue order.  A strobe joins a
-train only when that train is the last entry of its end time's bucket
-(``_trains`` names each time's newest train); otherwise it starts a new
-train.  Nothing runs between two adjacent strobes of a bucket, so running
-them from one event keeps first in, first out within the millisecond, and
-every delivery, draw and record stays in the same order.  While a train
-runs, a failed strobe goes straight back on the air, into the train that
-the last re-queue joined if it ends at the same time; that train is
-forgotten whenever a chain ends, because the end of a chain may queue other
-events.  A train's end time leaves ``_trains`` when the first train of that
-millisecond runs, since no strobe ends at the current time, so the table
-is empty once ``run`` returns.
+as one event, a train, that runs them in queue order.  A train's args are
+the list of its strobes itself (every other event's args are a tuple), so a
+strobe joins a train exactly when that train is the last entry of its end
+time's bucket, and otherwise starts a new train.  Nothing runs between two
+adjacent strobes of a bucket, so running them from one event keeps first
+in, first out within the millisecond, and every delivery, draw and record
+stays in the same order.  While a train runs, a failed strobe goes straight
+back on the air, into the train that the last re-queue joined if it ends at
+the same time; that train is forgotten whenever a chain ends, because the
+end of a chain may queue other events.
 
 Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
@@ -128,8 +126,6 @@ class Simulation:
         # one heap entry per pending time; its bucket runs first in, first out
         self._heap: list[tuple[int, list[tuple[Callable, tuple]]]] = []
         self._buckets: dict[int, list[tuple[Callable, tuple]]] = {}
-        # end time -> the args ``(train,)`` of the newest strobe train queued for it
-        self._trains: dict[int, tuple[list[Frame]]] = {}
         self.trace: list[tuple] = []
 
         self.rng_topology = _stream(seed, "topology")
@@ -272,27 +268,20 @@ class Simulation:
 
     # -- transmission ------------------------------------------------------
 
-    def _airtime(self, frame: Frame) -> int:
-        if frame.dst is None:
-            return self.scenario.radio.airtime_per_msg_ms
-        if frame.kind == "probe":
-            # probing an unresponsive candidate strobes its whole budget
-            return self.scenario.radio.strobe_airtime_ms
-        return UNICAST_AIRTIME_MS
+    def _reserve(self, frame: Frame, not_before: int) -> int:
+        """Queue ``frame`` on its sender's transceiver (FIFO in call order);
+        returns when its airtime ends."""
+        tx_free_at = self._tx_free_at
+        end = tx_free_at[frame.src] = max(not_before, tx_free_at[frame.src]) + frame.airtime_ms
+        return end
 
     def _transmit(self, frame: Frame, not_before: int) -> None:
-        """Queue one frame on its sender's transceiver (FIFO in call order).
-
-        When the frame's airtime ends, a probe strobe runs in its strobe
-        train and any other frame in ``_on_delivery``.
-        """
-        airtime = frame.airtime_ms = self._airtime(frame)
-        tx_free_at = self._tx_free_at
-        end = tx_free_at[frame.src] = max(not_before, tx_free_at[frame.src]) + airtime
-        if frame.kind == "probe":
-            self._queue_strobe(frame, end)
-        else:
-            self._schedule(end, self._on_delivery, (frame,))
+        """Send a multicast or non-probe unicast frame; ``_on_delivery`` runs
+        when its airtime ends."""
+        frame.airtime_ms = (
+            self.scenario.radio.airtime_per_msg_ms if frame.dst is None else UNICAST_AIRTIME_MS
+        )
+        self._schedule(self._reserve(frame, not_before), self._on_delivery, (frame,))
 
     def _on_delivery(self, frame: Frame) -> None:
         dst = frame.dst
@@ -364,30 +353,30 @@ class Simulation:
         if self._next_probe_at.get(key, 0) > self.now:
             return
         self._next_probe_at[key] = math.inf
-        self._transmit(Frame("probe", node.id, target), self.now)
+        # probing an unresponsive candidate strobes its whole budget
+        frame = Frame("probe", node.id, target, airtime_ms=self.scenario.radio.strobe_airtime_ms)
+        self._queue_strobe(frame, self._reserve(frame, self.now))
 
     def _queue_strobe(self, frame: Frame, end: int) -> list[Frame]:
-        """Queue a strobe ending at ``end``: at the tail train of that time's
-        bucket when a train is its last entry, else as a new train.  Returns
-        the train, which later strobes ending at ``end`` may join while
-        nothing else is queued."""
-        trains = self._trains
-        args = trains.get(end)
-        if args is not None and self._buckets[end][-1][1] is args:
-            args[0].append(frame)
-            return args[0]
+        """Queue a strobe ending at ``end``: at the train that is the last
+        entry of that time's bucket, else as a new train.  Returns the train,
+        which later strobes ending at ``end`` may join while nothing else is
+        queued."""
+        bucket = self._buckets.get(end)
+        if bucket is not None:
+            last = bucket[-1][1]
+            if last.__class__ is list:  # only a strobe train's args are a list
+                last.append(frame)
+                return last
         train = [frame]
-        if end <= self._end_ms:  # else the strobe is dropped, as _schedule would
-            trains[end] = args = (train,)
-            self._schedule(end, self._on_strobe_train, args)
+        self._schedule(end, self._on_strobe_train, train)
         return train
 
-    def _on_strobe_train(self, train: list[Frame]) -> None:
+    def _on_strobe_train(self, *train: Frame) -> None:
         """Run the strobes of one train in order; a failed one with budget left
         goes straight back on the air."""
         now, tx_free_at, in_range = self.now, self._tx_free_at, self._in_range
         deliver = self.radio.deliver
-        self._trains.pop(now, None)  # strobes end after now: now's trains are closed
         # the train the last re-queue joined, and its end time; nothing else
         # is queued until a chain ends
         tail, tail_end = None, None
@@ -400,7 +389,7 @@ class Simulation:
                 self._next_probe_at[(src, frame.dst)] = now + PROBE_COOLDOWN_MS
                 self._apply_actions(node, rpl.note_probe_result(node, frame.dst, acked))
                 continue
-            # _transmit's end time, computed here: the frame keeps its
+            # _reserve's end time, computed here: the frame keeps its
             # airtime, and a re-queue ending when the last one did joins its
             # train without a call (strobes are most events of an attack run)
             frame.attempt += 1

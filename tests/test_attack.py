@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -48,6 +49,26 @@ class TestCapture:
             second.version,
             second.dodag_id,
         )
+
+    def test_a_newer_version_replaces_the_capture(self):
+        addr, state = make_attacker()
+        state.overhear(DIO_A)
+        first = attacker_step(addr, state, 90_000)
+        newer = DioMessage(src=2, dodag_id=0, version=2, rank=512)
+        state.overhear(newer)
+        state.overhear(replace(newer, src=3, rank=640))  # same version: kept out
+        second = attacker_step(addr, state, 91_000)
+        assert (first.version, first.rank) == (1, DIO_A.rank)
+        assert (second.src, second.version, second.rank) == (addr, 2, 512)
+        state.overhear(DIO_B)  # an older version does not bring it back
+        assert attacker_step(addr, state, 92_000) is second
+
+    def test_a_same_version_dio_keeps_the_replay(self):
+        addr, state = make_attacker()
+        state.overhear(DIO_A)
+        first = attacker_step(addr, state, 90_000)
+        state.overhear(DIO_B)
+        assert attacker_step(addr, state, 91_000) is first
 
     def test_replay_is_non_spoofed(self):
         addr, state = make_attacker()

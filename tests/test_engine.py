@@ -168,7 +168,24 @@ class TestDispatchOrder:
         sim._maybe_probe(sim.nodes[2], attacker)
         sim.run()
         assert ran == ["strobe 1", "note", "strobe 2"]
-        assert not sim._trains  # every train's time has run
+
+    def test_strobes_queued_next_to_each_other_run_as_one_train(self, monkeypatch):
+        sim, end, ran = self.watch_strobes(monkeypatch, 1)
+        attacker = sim.scenario.attacker_ids[0]
+        trains = []
+        real_train = engine.Simulation._on_strobe_train
+
+        def on_strobe_train(self, *train):
+            trains.append((self.now, [frame.src for frame in train]))
+            real_train(self, *train)
+
+        monkeypatch.setattr(engine.Simulation, "_on_strobe_train", on_strobe_train)
+        sim._maybe_probe(sim.nodes[1], attacker)
+        sim._maybe_probe(sim.nodes[2], attacker)
+        sim.run()
+        assert ran == ["strobe 1", "strobe 2"]
+        assert (end, [1, 2]) in trains
+        assert not sim._heap  # nothing is left pending
 
     def test_a_retry_does_not_run_ahead_of_an_event_a_chain_end_queued(self, monkeypatch):
         sim, end, ran = self.watch_strobes(monkeypatch, 2)  # the retries' end
@@ -186,9 +203,9 @@ class TestDispatchOrder:
         monkeypatch.setattr(rpl, "note_probe_result", note_probe_result)
         # one train at strobe_ms: node 2's strobe is its chain's last, the
         # others fail and retry
-        sim._transmit(engine.Frame("probe", 1, attacker), 0)
-        sim._transmit(engine.Frame("probe", 2, attacker, attempt=engine.PROBE_ATTEMPTS), 0)
-        sim._transmit(engine.Frame("probe", 3, attacker), 0)
+        for src, attempt in ((1, 1), (2, engine.PROBE_ATTEMPTS), (3, 1)):
+            frame = engine.Frame("probe", src, attacker, airtime_ms=strobe_ms, attempt=attempt)
+            sim._queue_strobe(frame, sim._reserve(frame, 0))
         sim.run()
         assert ran == ["strobe 1", "note", "strobe 3"]
 
@@ -501,12 +518,22 @@ class TestInRangeLists:
 
 
 class TestAirtime:
-    def test_unicast_airtime_is_an_engine_constant(self):
+    def test_unicast_airtime_is_an_engine_constant(self, monkeypatch):
         assert "unicast_airtime_ms" not in {f.name for f in fields(RadioConfig)}
         sim = engine.Simulation(small_base(), 1)
-        assert sim._airtime(engine.Frame("data", 1, 0)) == engine.UNICAST_AIRTIME_MS == 30
-        assert sim._airtime(engine.Frame("dio", 1, None)) == sim.scenario.radio.airtime_per_msg_ms
-        assert sim._airtime(engine.Frame("probe", 1, 0)) == sim.scenario.radio.strobe_airtime_ms
+        data, dio = engine.Frame("data", 1, 0), engine.Frame("dio", 2, None)
+        sim._transmit(data, 0)
+        sim._transmit(dio, 0)
+        assert data.airtime_ms == engine.UNICAST_AIRTIME_MS == 30
+        assert dio.airtime_ms == sim.scenario.radio.airtime_per_msg_ms
+        # a probe strobes for the configured strobe airtime instead
+        queued = []
+        monkeypatch.setattr(sim, "_queue_strobe", lambda frame, end: queued.append((frame, end)))
+        sim._maybe_probe(sim.nodes[3], 0)
+        strobe_ms = sim.scenario.radio.strobe_airtime_ms
+        assert [(f.kind, f.airtime_ms, end) for f, end in queued] == [
+            ("probe", strobe_ms, strobe_ms)
+        ]
 
 
 class TestRetryChains:
@@ -585,7 +612,7 @@ class TestRetryChains:
             for t, bucket in sorted(pushed, key=lambda item: item[0]):
                 for handler, args in bucket:
                     if handler.__func__ is engine.Simulation._on_strobe_train:
-                        for frame in args[0]:
+                        for frame in args:
                             if id(frame) in seen:
                                 times.append(t)
                             seen.add(id(frame))

@@ -132,10 +132,23 @@ class TestAggregation:
         "df,t", [(30, 2.042), (31, 2.040), (39, 2.023), (60, 2.000), (120, 1.980), (1000, 1.962)]
     )
     def test_t_value_above_the_table(self, df, t):
-        # exact two-sided 95% quantiles, rounded like the df <= 30 table
+        # exact two-sided 95% quantiles, rounded to 3 decimals like the table
         data = [float(i % 2) for i in range(df + 1)]
         expected = t * statistics.stdev(data) / math.sqrt(df + 1)
         assert aggregate(data).ci95 == pytest.approx(expected)
+
+    def test_series_rounds_to_the_textbook_t_values(self):
+        # two-sided 95% critical values of Student's t for df 6-30
+        textbook = [
+            2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160, 2.145, 2.131,
+            2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060,
+            2.056, 2.052, 2.048, 2.045, 2.042,
+        ]
+        for df, t in enumerate(textbook, start=6):
+            assert df not in metrics._T95
+            data = [float(i % 2) for i in range(df + 1)]
+            expected = t * statistics.stdev(data) / math.sqrt(df + 1)
+            assert aggregate(data).ci95 == pytest.approx(expected, rel=1e-12), df
 
     def test_none_values_skipped(self):
         agg = aggregate([1.0, None, 3.0])
