@@ -105,6 +105,8 @@ class BatchConfig:
         if set(self.modes) - {"baseline"}:
             if self.base.n_attackers == 0:
                 raise ConfigError("attack and cosec modes need attackers > 0")
+            if self.base.attacker.attack_start_ms >= self.base.duration_ms:
+                raise ConfigError("attack_start must be before the run ends with attack or cosec")
             if not self.replay_intervals_ms:
                 raise ConfigError("replay_intervals must not be empty with attack or cosec")
         if not self.seeds:

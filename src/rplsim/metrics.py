@@ -18,12 +18,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class GroundTruth:
-    scenario: str
-    seed: int
-    n_sensors: int
     n_attackers: int
     attack_start_ms: int
-    duration_ms: int
     first_attacker: int
 
     @property
@@ -56,59 +52,9 @@ class RunMetrics:
 def ground_truth(trace) -> GroundTruth:
     for rec in trace:
         if rec[2] == "run_info":
-            _, _, _, name, seed, n_sensors, n_attackers, start, duration, first = rec
-            return GroundTruth(
-                str(name), seed, n_sensors, n_attackers, start, duration, first
-            )
+            _, _, _, _name, _seed, _sensors, n_attackers, start, _duration, first = rec
+            return GroundTruth(n_attackers, start, first)
     raise ValueError("trace has no run_info record")
-
-
-def compute_pdr(trace) -> float | None:
-    sent = sum(1 for rec in trace if rec[2] == "data_sent")
-    if sent == 0:
-        return None
-    received = sum(1 for rec in trace if rec[2] == "data_delivered")
-    return received / sent
-
-
-def compute_ae2ed(trace) -> float | None:
-    """Mean delivery delay in milliseconds; lost packets are ignored."""
-    delays = [rec[0] - rec[5] for rec in trace if rec[2] == "data_delivered"]
-    if not delays:
-        return None
-    return sum(delays) / len(delays)
-
-
-def compute_ada(trace, truth: GroundTruth | None = None) -> float | None:
-    truth = truth or ground_truth(trace)
-    attackers = truth.attacker_set
-    true_hits = false_hits = 0
-    for rec in trace:
-        if rec[2] == "ids_suspect":
-            if rec[3] in attackers:
-                true_hits += 1
-            else:
-                false_hits += 1
-    total = true_hits + false_hits
-    if total == 0:
-        return None
-    return true_hits / total
-
-
-def compute_frt(
-    trace, truth: GroundTruth | None = None, kind: str = "ids_suspect"
-) -> dict[int, int | None]:
-    """First ``kind`` record about each attacker minus attack launch (ms).
-
-    The default gives the first response time; ``kind="ids_block"`` gives
-    the first permanent-block time.
-    """
-    truth = truth or ground_truth(trace)
-    first_seen: dict[int, int] = {}
-    for rec in trace:
-        if rec[2] == kind and rec[3] in truth.attacker_set:
-            first_seen.setdefault(rec[3], rec[0])
-    return _since_attack(first_seen, truth)
 
 
 def _since_attack(first_seen: dict[int, int], truth: GroundTruth) -> dict[int, int | None]:
@@ -119,7 +65,7 @@ def _since_attack(first_seen: dict[int, int], truth: GroundTruth) -> dict[int, i
 
 
 def from_trace(trace) -> RunMetrics:
-    """The ``compute_*`` figures and the record counts in one pass."""
+    """The headline figures and the record counts in one pass."""
     truth = ground_truth(trace)
     attackers = truth.attacker_set
     counts = dict.fromkeys(("dio_sent", "dis_sent", "dao_sent", "data_sent", "data_delivered",

@@ -1,27 +1,27 @@
-"""Quartile and Tukey-fence routines used by the DIO-count outlier detector.
+"""Quartiles and the upper Tukey fence used by the DIO-count outlier detector.
 
 Quartiles follow the classic Tukey convention: the sample is sorted, the
 median is the middle value (mean of the two middle values for even length),
 and Q1/Q3 are the medians of the lower and upper halves with the overall
 median excluded from both halves when the length is odd.  The upper fence is
-``Q3 + delta * IQR``; values strictly above it are outliers.
+``Q3 + delta * IQR``; ``ids.check_malicious`` treats values strictly above it
+as outliers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Hashable, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class QuartileSummary:
-    """Five-number-ish summary plus the fences for a given delta."""
+    """Median, quartiles, IQR and the upper fence for a given delta."""
 
     median: float
     q1: float
     q3: float
     iqr: float
-    lower_limit: float
     upper_limit: float
 
 
@@ -34,9 +34,9 @@ def _median_sorted(values: Sequence[float]) -> float:
 
 
 def compute_quartiles(values: Iterable[float], delta: float = 1.0) -> QuartileSummary:
-    """Compute median, quartiles, IQR and Tukey fences of a sample.
+    """Compute median, quartiles, IQR and the upper Tukey fence of a sample.
 
-    ``delta`` scales the fences (1.5 gives the classic Tukey rule).  Raises
+    ``delta`` scales the fence (1.5 gives the classic Tukey rule).  Raises
     ``ValueError`` on an empty sample.  A single-element sample degenerates to
     median == Q1 == Q3 == value with IQR 0.
     """
@@ -57,22 +57,6 @@ def compute_quartiles(values: Iterable[float], delta: float = 1.0) -> QuartileSu
         q1=q1,
         q3=q3,
         iqr=iqr,
-        lower_limit=q1 - delta * iqr,
         upper_limit=q3 + delta * iqr,
     )
 
-
-def find_outliers(
-    counted: Iterable[tuple[Hashable, float]], delta: float = 1.0
-) -> set[Hashable]:
-    """Return the keys whose count strictly exceeds the upper fence.
-
-    Only the upper fence matters here; the lower fence is computed by
-    ``compute_quartiles`` but plays no role in detection.  An empty input
-    yields an empty set.
-    """
-    items = list(counted)
-    if not items:
-        return set()
-    summary = compute_quartiles((count for _, count in items), delta)
-    return {key for key, count in items if count > summary.upper_limit}

@@ -20,11 +20,11 @@ import pytest
 
 from rplsim import engine, metrics, rpl
 from rplsim.config import ScenarioConfig, make_variant
-from rplsim.outliers import compute_quartiles, find_outliers
+from rplsim.outliers import compute_quartiles
 from rplsim.radio import RadioConfig
 from rplsim.rpl import Role
 from tests import ids_conformance
-from tests.test_outliers import WORKED_COLUMNS, oracle_quartiles
+from tests.test_outliers import WORKED_COLUMNS, detector_outliers, oracle_quartiles
 
 SEEDS = tuple(range(1, 11))
 INTERVALS = (1000, 2000, 3000, 4000)
@@ -100,7 +100,7 @@ def test_criterion_1_worked_quartile_columns():
     for sample, med, q1, q3, iqr, upper, flagged in WORKED_COLUMNS:
         s = compute_quartiles(sample, delta=1.0)
         assert (s.median, s.q1, s.q3, s.iqr, s.upper_limit) == (med, q1, q3, iqr, upper)
-        outliers = find_outliers(list(enumerate(sample)), delta=1.0)
+        outliers = detector_outliers(enumerate(sample), delta=1.0)
         assert bool(outliers) == flagged
         if flagged:
             assert outliers == {sample.index(max(sample))}
@@ -294,7 +294,7 @@ def test_criterion_9_property_suites():
         moved = compute_quartiles([v + shift for v in sample], 1.0)
         assert moved.upper_limit == s.upper_limit + shift
         assert moved.iqr == s.iqr
-        outliers = find_outliers(list(enumerate(sample)), 1.0)
+        outliers = detector_outliers(enumerate(sample), 1.0)
         assert len(outliers) < n
 
     # loop freedom and trickle bounds on random 20-node topologies

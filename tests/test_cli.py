@@ -249,6 +249,19 @@ class TestMain:
         )
         assert not os.path.exists(tmp_path / "o")
 
+    def test_attack_after_the_run_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(
+            "[scenario]\nduration_s = 60\nmodes = cosec\nseeds = 1 2\n"
+            "[attacker]\nattack_start_s = 90\n"
+        )
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: attack_start must be before the run ends with attack or cosec\n"
+        )
+        assert not os.path.exists(tmp_path / "o")
+
     def test_unconnected_layout_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "apart.cfg"
         cfg.write_text(

@@ -69,7 +69,7 @@ LAYOUT = tuple((i, i + 0.5, 20.0 - i) for i in range(21))
 # each set to a value that differs from its default
 EVERY_KEY = [
     ("scenario", "name", "other", "base.name", "other"),
-    ("scenario", "duration_s", "12.5", "base.duration_ms", 12_500),
+    ("scenario", "duration_s", "120.5", "base.duration_ms", 120_500),
     ("scenario", "sensors", "9", "base.n_sensors", 9),
     ("scenario", "attackers", "2", "base.n_attackers", 2),
     ("scenario", "positions", POSITIONS, "base.positions", LAYOUT),
@@ -182,7 +182,10 @@ class TestLoadBatch:
         )
 
     def test_seconds_round_to_the_nearest_millisecond(self, tmp_path):
-        text = "[scenario]\nduration_s = 32.3\nmodes = attack\nreplay_intervals_s = 2.01\n"
+        text = (
+            "[scenario]\nduration_s = 32.3\nmodes = attack\nreplay_intervals_s = 2.01\n"
+            "[attacker]\nattack_start_s = 30\n"
+        )
         batch = load_batch(write_cfg(tmp_path, text))
         assert batch.base.duration_ms == 32_300
         assert batch.replay_intervals_ms == (2_010,)
@@ -359,6 +362,16 @@ class TestVariants:
             load_batch(write_cfg(tmp_path, text))
         batch = BatchConfig(base=ScenarioConfig(name="g", n_attackers=0), modes=("baseline",))
         assert [label for label, _, _ in batch.variants()] == ["static-baseline", "mobile-baseline"]
+
+    @pytest.mark.parametrize("mode", ["attack", "cosec"])
+    @pytest.mark.parametrize("start_s", ["60", "90"])
+    def test_attack_modes_need_the_attack_to_start_in_the_run(self, tmp_path, mode, start_s):
+        # an attack that never launches censors response times at a horizon of 0 s or less
+        late = f"duration_s = 60\n[attacker]\nattack_start_s = {start_s}\n"
+        with pytest.raises(ConfigError, match="^attack_start must be before the run ends"):
+            load_batch(write_cfg(tmp_path, f"[scenario]\nmodes = baseline {mode}\n{late}"))
+        baseline = load_batch(write_cfg(tmp_path, f"[scenario]\nmodes = baseline\n{late}"))
+        assert baseline.modes == ("baseline",)
 
     @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
     def test_shipped_configs_load(self, name):

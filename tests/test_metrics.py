@@ -9,19 +9,10 @@ import pytest
 
 from rplsim import engine, metrics
 from rplsim.config import ScenarioConfig, make_variant
-from rplsim.metrics import (
-    Aggregate,
-    aggregate,
-    censored_frt_values,
-    compute_ada,
-    compute_ae2ed,
-    compute_frt,
-    compute_pdr,
-    from_trace,
-    ground_truth,
-)
+from rplsim.metrics import Aggregate, aggregate, censored_frt_values, from_trace, ground_truth
 from rplsim.radio import RadioConfig
 from rplsim.trace import read_trace, write_trace
+from tests.metrics_reference import compute_ada, compute_ae2ed, compute_frt, compute_pdr
 
 # synthetic run: 2 sensors (1, 2), one attacker (3), attack at 90 s
 INFO = (0, -1, "run_info", "synthetic", 1, 2, 1, 90_000, 1_800_000, 3)
@@ -53,7 +44,7 @@ class TestHeadlineMetrics:
             (2000, 2, "data_sent", 1, 1),
             (2400, 0, "data_delivered", 2, 1, 2000),
         )
-        assert compute_pdr(trace) == 0.5
+        assert compute_pdr(trace) == from_trace(trace).pdr == 0.5
 
     def test_pdr_counts_origin_retries(self):
         trace = trace_with(
@@ -61,10 +52,11 @@ class TestHeadlineMetrics:
             (1200, 1, "data_sent", 1, 2),
             (1400, 0, "data_delivered", 1, 1, 1000),
         )
-        assert compute_pdr(trace) == 0.5
+        assert compute_pdr(trace) == from_trace(trace).pdr == 0.5
 
     def test_pdr_null_without_traffic(self):
         assert compute_pdr(trace_with()) is None
+        assert from_trace(trace_with()).pdr is None
 
     def test_ae2ed_mean_over_delivered_only(self):
         trace = trace_with(
@@ -73,9 +65,12 @@ class TestHeadlineMetrics:
             (9000, 1, "data_drop", 1, 2, "link_loss"),
         )
         assert compute_ae2ed(trace) == pytest.approx(300.0)
+        assert from_trace(trace).ae2ed_ms == pytest.approx(300.0)
 
     def test_ae2ed_null_without_delivery(self):
-        assert compute_ae2ed(trace_with((1, 1, "data_sent", 1, 1))) is None
+        trace = trace_with((1, 1, "data_sent", 1, 1))
+        assert compute_ae2ed(trace) is None
+        assert from_trace(trace).ae2ed_ms is None
 
     def test_ada_counts_suspicion_events(self):
         trace = trace_with(
@@ -86,19 +81,21 @@ class TestHeadlineMetrics:
             (190_000, 1, "ids_suspect", 3),
         )
         assert compute_ada(trace) == pytest.approx(0.8)
+        assert from_trace(trace).ada == pytest.approx(0.8)
 
     def test_ada_null_without_detections(self):
         assert compute_ada(trace_with()) is None
+        assert from_trace(trace_with()).ada is None
 
     def test_frt_first_suspicion_minus_launch(self):
         trace = trace_with(
             (150_000, 1, "ids_suspect", 3),
             (180_000, 2, "ids_suspect", 3),
         )
-        assert compute_frt(trace) == {3: 60_000}
+        assert compute_frt(trace) == from_trace(trace).frt_ms == {3: 60_000}
 
     def test_frt_null_for_undetected(self):
-        assert compute_frt(trace_with()) == {3: None}
+        assert compute_frt(trace_with()) == from_trace(trace_with()).frt_ms == {3: None}
 
     def test_from_trace_inventory(self):
         trace = trace_with(

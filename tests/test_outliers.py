@@ -1,4 +1,4 @@
-"""Tests for the quartile / upper-fence routines."""
+"""Tests for the quartiles and the upper fence the detector applies."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rplsim.outliers import compute_quartiles, find_outliers
+from rplsim.ids import IdsConfig, IdsState, NeighborEntry, check_malicious
+from rplsim.outliers import compute_quartiles
 
 
 def oracle_quartiles(values, delta):
@@ -28,6 +29,20 @@ def oracle_quartiles(values, delta):
         q3 = statistics.median(data[-half:])
     iqr = q3 - q1
     return med, q1, q3, iqr, q3 + delta * iqr
+
+
+def detector_outliers(counted, delta=1.0):
+    """The senders ``ids.check_malicious`` suspects among (address, DIO count) pairs.
+
+    Every sender's last gap is 1 ms, well inside the gap threshold, and both
+    tables hold the whole sample, so only the upper fence decides.
+    """
+    counted = list(counted)
+    state = IdsState(IdsConfig(fence_delta=delta, node_max=max(1, len(counted))))
+    for addr, count in counted:
+        state.neighbors[addr] = NeighborEntry(t_previous=0, t_recent=1, dio_count=count)
+    suspected, _ = check_malicious(state)
+    return set(suspected)
 
 
 # One row per worked column: sample, median, q1, q3, iqr, upper fence with
@@ -65,17 +80,12 @@ class TestComputeQuartiles:
         assert s.median == s.q1 == s.q3 == 7
         assert s.iqr == 0
         assert s.upper_limit == 7
-        assert s.lower_limit == 7
 
     def test_classic_delta(self):
         s = compute_quartiles([1, 2, 3, 4, 5, 6, 7, 8], delta=1.5)
         assert s.q1 == 2.5
         assert s.q3 == 6.5
         assert s.upper_limit == 6.5 + 1.5 * 4
-
-    def test_lower_limit_exposed(self):
-        s = compute_quartiles([1, 2, 4, 6, 7, 8, 166], delta=1.0)
-        assert s.lower_limit == 2 - 6
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
@@ -98,20 +108,22 @@ class TestComputeQuartiles:
 
 
 class TestFindOutliers:
+    """Which senders the detector's own fence flags."""
+
     @pytest.mark.parametrize("sample,_m,_q1,_q3,_i,_u,flagged", WORKED_COLUMNS)
     def test_worked_columns_verdict(self, sample, _m, _q1, _q3, _i, _u, flagged):
         keyed = list(enumerate(sample))
-        outliers = find_outliers(keyed, delta=1.0)
+        outliers = detector_outliers(keyed, delta=1.0)
         if flagged:
             assert outliers == {sample.index(max(sample))}
         else:
             assert outliers == set()
 
     def test_empty_is_noop(self):
-        assert find_outliers([], delta=1.0) == set()
+        assert detector_outliers([], delta=1.0) == set()
 
     def test_all_equal_none_flagged(self):
-        assert find_outliers([("a", 5), ("b", 5), ("c", 5)], delta=1.0) == set()
+        assert detector_outliers([(1, 5), (2, 5), (3, 5)], delta=1.0) == set()
 
 
 counts = st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=60)
@@ -126,7 +138,7 @@ class TestProperties:
         assert compute_quartiles(sample, 1.0) == compute_quartiles(shuffled, 1.0)
         keyed_a = list(enumerate(sample))
         keyed_b = sorted(enumerate(sample), key=lambda kv: (kv[1], kv[0]))
-        assert find_outliers(keyed_a, 1.0) == find_outliers(keyed_b, 1.0)
+        assert detector_outliers(keyed_a, 1.0) == detector_outliers(keyed_b, 1.0)
 
     @given(counts, st.integers(min_value=0, max_value=1000))
     @settings(max_examples=250)
@@ -138,14 +150,14 @@ class TestProperties:
         assert moved.q3 == base.q3 + k
         assert moved.iqr == base.iqr
         assert moved.upper_limit == base.upper_limit + k
-        assert find_outliers(list(enumerate(sample)), 1.0) == find_outliers(
+        assert detector_outliers(enumerate(sample), 1.0) == detector_outliers(
             [(i, v + k) for i, v in enumerate(sample)], 1.0
         )
 
     @given(counts)
     @settings(max_examples=250)
     def test_never_all_outliers(self, sample):
-        outliers = find_outliers(list(enumerate(sample)), 1.0)
+        outliers = detector_outliers(enumerate(sample), 1.0)
         assert len(outliers) < len(sample)
 
     @given(counts)
