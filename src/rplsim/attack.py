@@ -51,10 +51,5 @@ def attacker_step(addr: int, state: AttackerState, now: int) -> DioMessage | Non
         return None
     if state.replay is None:
         captured = state.captured
-        state.replay = DioMessage(
-            src=addr,
-            dodag_id=captured.dodag_id,
-            version=captured.version,
-            rank=captured.rank,
-        )
+        state.replay = DioMessage(src=addr, version=captured.version, rank=captured.rank)
     return state.replay

@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 
 from . import engine, metrics
-from .config import BatchConfig, ConfigError, load_batch, variant_label
+from .config import MOBILITY_MODES, MODES, BatchConfig, ConfigError, load_batch, variant_label
 from .trace import write_trace
 
 log = logging.getLogger("rplsim")
@@ -132,7 +132,7 @@ def _write_plot_data(out_dir, batch: BatchConfig, by_label, summaries) -> dict[s
     """The four figure files: the three mean plots carry each variant's
     summary.csv cell, plot_frt each attacker's censored mean over its runs."""
     intervals = sorted(batch.replay_intervals_ms)
-    mobs = [m for m in ("static", "mobile") if m in batch.mobility_modes]
+    mobs = [m for m in MOBILITY_MODES if m in batch.mobility_modes]
     duration = batch.base.duration_ms
     attack_start = batch.base.attacker.attack_start_ms
     paths = {}
@@ -195,8 +195,8 @@ def main(argv=None) -> int:
     run_p.add_argument(
         "--seeds", type=_seed_list, help="comma-separated seed list overriding the config"
     )
-    run_p.add_argument("--mode", choices=["baseline", "attack", "cosec"])
-    run_p.add_argument("--mobility", choices=["static", "mobile"])
+    run_p.add_argument("--mode", choices=MODES)
+    run_p.add_argument("--mobility", choices=MOBILITY_MODES)
     run_p.add_argument("--trace", action="store_true", help="also write per-run trace files")
     run_p.add_argument("--workers", type=int, default=1, help="parallel run workers")
     args = parser.parse_args(argv)

@@ -302,9 +302,8 @@ def load_batch(path: str) -> BatchConfig:
             radio=RadioConfig(**given["radio"]),
             mobility=MobilityConfig(**given["mobility"]),
             attacker=AttackerConfig(**given["attacker"]),
+            ids=IdsConfig(**given["ids"]),
         )
-        given["ids"].setdefault("node_max", base.n_nodes)
-        base = replace(base, ids=IdsConfig(**given["ids"]))
         return BatchConfig(base=base, **batch)
     except ConfigError:
         raise

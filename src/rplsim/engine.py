@@ -19,7 +19,11 @@ perturb another's draws.  Virtual time is integer milliseconds.
 indexed by node id, built once by ``_build_positions`` and read in place by
 the in-range lists, mobility and the ``position`` records.  The node table
 ``nodes`` holds RPL state for the gateway and the sensors only; attackers
-live in ``attackers`` with nothing but their captured DIO.
+live in ``attackers`` with nothing but their captured DIO.  The detectors
+sit beside RPL, not in it: ``detectors`` maps each protected node (the
+gateway and the sensors) to its ``IdsState``, and is empty when the IDS is
+off.  A sensor's data sequence number rides on its ``_generate_data``
+event.
 
 The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
 one short airtime unit and are never retried; unicast frames strobe for a
@@ -74,7 +78,7 @@ from .attack import AttackerState, attacker_step
 from .config import ScenarioConfig
 from .ids import ACCEPTED, DISCARDED, IdsState
 from .radio import Mobility, Radio
-from .rpl import DataPacket, DioMessage, NodeState, Role
+from .rpl import DioMessage, NodeState, Role
 
 UNICAST_AIRTIME_MS = 30  # duty-cycled unicast, strobe until the ack
 PROBE_ATTEMPTS = 5
@@ -98,6 +102,14 @@ class Frame:
     payload: object = None
     airtime_ms: int = 0
     attempt: int = 1
+
+
+@dataclass
+class DataPacket:
+    origin: int
+    seq: int
+    created_ms: int
+    path: list[int]
 
 
 class _InRange(dict):
@@ -141,11 +153,11 @@ class Simulation:
             node_id: NodeState(
                 id=node_id,
                 role=Role.ROOT if node_id == scenario.root_id else Role.SENSOR,
-                ids=IdsState(scenario.ids) if scenario.ids_enabled else None,
-                dodag_id=scenario.root_id,
             )
             for node_id in (scenario.root_id, *scenario.sensor_ids)
         }
+        protected = self.nodes if scenario.ids_enabled else ()
+        self.detectors = {node_id: IdsState(scenario.ids) for node_id in protected}
         self.attackers = {a: AttackerState(scenario.attacker) for a in scenario.attacker_ids}
 
         self.mobility = Mobility(
@@ -242,7 +254,7 @@ class Simulation:
             self._schedule(fire, self._on_trickle_fire, (node_id, node.trickle.generation))
         for sensor in scenario.sensor_ids:
             offset = int(self.rng_jitter.random() * scenario.data_interval_ms)
-            self._schedule(offset, self._generate_data, (sensor,))
+            self._schedule(offset, self._generate_data, (sensor, 1))
         for attacker in scenario.attacker_ids:
             self._schedule(scenario.attacker.attack_start_ms, self._on_attack_step, (attacker,))
         if self.mobility.mobile_ids:
@@ -308,13 +320,14 @@ class Simulation:
     def _receive_dio(self, got: list[int], dio: DioMessage) -> None:
         """Attackers overhear; detectors drop a blocked sender's copy; RPL gets the rest."""
         now, src, nodes, attackers, trace = self.now, dio.src, self.nodes, self.attackers, self.trace
+        detectors = self.detectors
         for node_id in got:
             if node_id in attackers:
                 attackers[node_id].overhear(dio)
                 continue
-            node = nodes[node_id]
-            if node.ids is not None:
-                verdict = ids_mod.process_dio(node.ids, src, now)
+            detector = detectors.get(node_id)
+            if detector is not None:
+                verdict = ids_mod.process_dio(detector, src, now)
                 if verdict is DISCARDED:
                     trace.append((now, node_id, "ids_discard", src))
                     continue
@@ -325,6 +338,7 @@ class Simulation:
                         trace.append((now, node_id, "ids_block", subject))
                     if verdict.overflow:
                         trace.append((now, node_id, "ids_overflow", src))
+            node = nodes[node_id]
             self._apply_actions(node, rpl.handle_dio(node, dio))
 
     def _apply_actions(self, node: NodeState, actions: list[tuple]) -> None:
@@ -402,17 +416,12 @@ class Simulation:
 
     # -- data path ---------------------------------------------------------
 
-    def _generate_data(self, sensor_id: int) -> None:
-        node = self.nodes[sensor_id]
-        node.data_seq += 1
-        packet = DataPacket(
-            origin=sensor_id,
-            seq=node.data_seq,
-            created_ms=self.now,
-            path=[sensor_id],
+    def _generate_data(self, sensor_id: int, seq: int) -> None:
+        packet = DataPacket(origin=sensor_id, seq=seq, created_ms=self.now, path=[sensor_id])
+        self._send_data_hop(self.nodes[sensor_id], packet, self.now)
+        self._schedule(
+            self.now + self.scenario.data_interval_ms, self._generate_data, (sensor_id, seq + 1)
         )
-        self._send_data_hop(node, packet, self.now)
-        self._schedule(self.now + self.scenario.data_interval_ms, self._generate_data, (sensor_id,))
 
     def _send_data_hop(self, node: NodeState, packet: DataPacket, not_before: int) -> None:
         origin_hop = node.id == packet.origin
@@ -467,12 +476,7 @@ class Simulation:
             return  # superseded by a reset
         if node.joined:
             if ts.counter < rpl.TRICKLE_K:
-                dio = DioMessage(
-                    src=node.id,
-                    dodag_id=node.dodag_id,
-                    version=node.version,
-                    rank=node.rank,
-                )
+                dio = DioMessage(src=node.id, version=node.version, rank=node.rank)
                 self._record(self.now, node.id, "dio_sent", node.rank, node.version)
                 self._transmit(Frame("dio", node.id, None, payload=dio), self.now)
         else:

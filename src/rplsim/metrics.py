@@ -145,9 +145,13 @@ def censored_frt_values(
 ) -> list[float]:
     """Per-(attacker, run) response times, censored at run end.
 
-    All attackers by default, or only ``attacker``'s times when given.
+    All attackers by default, or only ``attacker``'s times when given.  A
+    run that ends before the attack starts has no response time to censor,
+    so it gives no values.
     """
     horizon = float(duration_ms - attack_start_ms)
+    if horizon <= 0:
+        return []
     out: list[float] = []
     for run in runs:
         for subject in sorted(run.frt_ms):

@@ -10,14 +10,15 @@ exists purely as airtime.
 
 Node operations return lightweight action tuples (``("probe", addr)``,
 ``("trickle_reset",)``, ...) that the event engine turns into transmissions.
+The module holds routing state only and imports nothing else from
+``rplsim``: the detectors, the data packets and their sequence numbers
+belong to the engine.  There is one DODAG, so no message carries its id.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-
-from .ids import IdsState
 
 MIN_RANK = 128
 MRHOF_RANK_FACTOR = 128
@@ -41,7 +42,6 @@ class Role(enum.Enum):
 @dataclass(frozen=True)
 class DioMessage:
     src: int
-    dodag_id: int
     version: int
     rank: int
 
@@ -92,10 +92,7 @@ class NodeState:
     preferred_parent: int | None = None
     candidates: dict[int, Candidate] = field(default_factory=dict)
     trickle: TrickleState = field(default_factory=TrickleState)
-    ids: IdsState | None = None
     version: int = 1
-    dodag_id: int = 0
-    data_seq: int = 0
     # the last select_parent changed neither parent nor rank, and no input
     # of it has changed since: running it again would change nothing
     settled: bool = False
@@ -281,10 +278,3 @@ def global_repair(root: NodeState) -> None:
     """Bump the DODAG version; the new number spreads with the next DIOs."""
     root.version += 1
 
-
-@dataclass
-class DataPacket:
-    origin: int
-    seq: int
-    created_ms: int
-    path: list[int] = field(default_factory=list)

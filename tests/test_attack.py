@@ -22,8 +22,8 @@ def make_attacker(interval=1000):
     return 9, AttackerState(cfg)
 
 
-DIO_A = DioMessage(src=1, dodag_id=0, version=1, rank=256)
-DIO_B = DioMessage(src=2, dodag_id=0, version=1, rank=384)
+DIO_A = DioMessage(src=1, version=1, rank=256)
+DIO_B = DioMessage(src=2, version=1, rank=384)
 
 
 class TestCapture:
@@ -44,17 +44,13 @@ class TestCapture:
         first = attacker_step(addr, state, 90_000)
         state.overhear(DIO_B)
         second = attacker_step(addr, state, 91_000)
-        assert (first.rank, first.version, first.dodag_id) == (
-            second.rank,
-            second.version,
-            second.dodag_id,
-        )
+        assert (first.rank, first.version) == (second.rank, second.version)
 
     def test_a_newer_version_replaces_the_capture(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
         first = attacker_step(addr, state, 90_000)
-        newer = DioMessage(src=2, dodag_id=0, version=2, rank=512)
+        newer = DioMessage(src=2, version=2, rank=512)
         state.overhear(newer)
         state.overhear(replace(newer, src=3, rank=640))  # same version: kept out
         second = attacker_step(addr, state, 91_000)
@@ -128,8 +124,7 @@ class TestEndToEnd:
     def test_victim_sees_replay_interval_gap(self):
         sim = engine.Simulation(chain_scenario(150_000), seed=3)
         sim.run()
-        victim = sim.nodes[1]
-        entry = victim.ids.neighbors[2]
+        entry = sim.detectors[1].neighbors[2]
         assert entry.t_recent - entry.t_previous == 1000
         assert entry.dio_count >= 55  # lossless: every replay is counted
 
@@ -192,7 +187,7 @@ class TestSparseHearers:
         sim, attacker, suspects = self.run(self.SPARSE, seed)
         assert len(sim._in_range[2]) - 1 == 3  # legitimate neighbours of the hearer
         # heard all run long, yet the fence never flags it
-        assert sim.nodes[2].ids.neighbors[attacker].dio_count > 1500
+        assert sim.detectors[2].neighbors[attacker].dio_count > 1500
         assert suspects == set()
 
     def test_the_same_replay_is_flagged_once_the_hearer_has_six_neighbours(self):

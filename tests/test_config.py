@@ -134,13 +134,12 @@ class TestLoadBatch:
         assert base.attacker.attack_start_ms == 90_000
         assert base.ids.activation_delay_ms == 120_000
         assert base.ids.check_period_ms == 30_000
-        assert base.ids.node_max == 21
+        assert base.ids.node_max == 32
         assert batch.seeds == tuple(range(1, 11))
 
     def test_empty_file_gives_the_dataclass_defaults(self, tmp_path):
         batch = load_batch(write_cfg(tmp_path, ""))
-        # the one derived default: the IDS tables hold every node
-        assert batch == BatchConfig(base=ScenarioConfig(ids=IdsConfig(node_max=21)))
+        assert batch == BatchConfig(base=ScenarioConfig())
 
     @pytest.mark.parametrize(
         "section,key,value,where,expected", EVERY_KEY, ids=[row[1] for row in EVERY_KEY]
@@ -175,7 +174,7 @@ class TestLoadBatch:
         def without(key):
             return "".join(line for line in block.splitlines(True) if not line.startswith(key))
 
-        defaults = ScenarioConfig(ids=IdsConfig(node_max=21))
+        defaults = ScenarioConfig()
         assert load_batch(write_cfg(tmp_path, without("seeds"))) == BatchConfig(base=defaults)
         assert load_batch(write_cfg(tmp_path, without("replications"))) == BatchConfig(
             base=defaults, seeds=(1, 2, 3)

@@ -54,7 +54,7 @@ class TestDetectorSchedule:
         sc = make_variant(small_base(), "cosec", "static", 1000)  # 400 s
         activation, period = sc.ids.activation_delay_ms, sc.ids.check_period_ms
         sim = engine.Simulation(sc, 1)
-        node_of = {id(node.ids): node.id for node in sim.nodes.values()}
+        node_of = {id(state): node for node, state in sim.detectors.items()}
         accepted, checks = [], []
         original_process, original_check = ids.process_dio, ids.check_malicious
 
@@ -344,7 +344,8 @@ class TestDataPath:
         )
         sim = engine.Simulation(sc, seed=1)
         # force a stale two-node cycle by hand, then inject a packet
-        from rplsim.rpl import Candidate, DataPacket
+        from rplsim.engine import DataPacket
+        from rplsim.rpl import Candidate
 
         n1, n2 = sim.nodes[1], sim.nodes[2]
         n1.candidates[2] = Candidate(addr=2, advertised_rank=256, version=1, confirmed=True)

@@ -164,6 +164,14 @@ class TestAggregation:
         vals = censored_frt_values(runs, 1_800_000, 90_000)
         assert vals == [60_000.0, 1_710_000.0]
 
+    def test_no_response_time_before_the_attack_starts(self):
+        # the run ends 30 s before the attack would start: nothing to censor
+        scenario = make_variant(ScenarioConfig(duration_ms=60_000), "cosec", "static", 1000)
+        run, _ = engine.run(scenario, 1)
+        assert censored_frt_values([run], 60_000, 90_000) == []
+        summary = metrics.summarize([run], 60_000, 90_000)
+        assert (summary["frt_mean_s"], summary["frt_ci95_s"]) == ("NA", "NA")
+
 
 class TestCsvSchema:
     def test_run_row_golden(self):

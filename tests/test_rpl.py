@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
@@ -106,7 +107,7 @@ class TestTrickle:
 class TestHandleDio:
     def test_isolated_sensor_joins_after_probe(self):
         node = make_sensor()
-        dio = DioMessage(src=0, dodag_id=0, version=1, rank=MIN_RANK)
+        dio = DioMessage(src=0, version=1, rank=MIN_RANK)
         actions = handle_dio(node, dio)
         assert ("probe", 0) in actions
         assert not node.joined
@@ -121,7 +122,7 @@ class TestHandleDio:
     def test_max_depth_rule(self):
         node = make_sensor(rank=256, parent=0)
         node.candidates[0] = Candidate(addr=0, advertised_rank=128, version=1, confirmed=True)
-        deep = DioMessage(src=9, dodag_id=0, version=1, rank=256)
+        deep = DioMessage(src=9, version=1, rank=256)
         handle_dio(node, deep)
         note_probe_result(node, 9, True)
         assert node.preferred_parent == 0
@@ -130,30 +131,30 @@ class TestHandleDio:
     def test_stale_version_ignored(self):
         node = make_sensor(rank=256, parent=0)
         node.version = 3
-        assert handle_dio(node, DioMessage(src=2, dodag_id=0, version=2, rank=128)) == []
+        assert handle_dio(node, DioMessage(src=2, version=2, rank=128)) == []
         assert 2 not in node.candidates
 
     def test_new_version_restarts_join(self):
         node = make_sensor(rank=256, parent=0)
-        actions = handle_dio(node, DioMessage(src=0, dodag_id=0, version=2, rank=128))
+        actions = handle_dio(node, DioMessage(src=0, version=2, rank=128))
         assert ("trickle_reset",) in actions
         assert node.version == 2
         assert node.rank is None and node.preferred_parent is None
 
     def test_own_dio_ignored(self):
         node = make_sensor()
-        assert handle_dio(node, DioMessage(src=node.id, dodag_id=0, version=1, rank=128)) == []
+        assert handle_dio(node, DioMessage(src=node.id, version=1, rank=128)) == []
 
     def test_consistent_dio_counts_toward_suppression(self):
         node = make_sensor(rank=256, parent=0)
         node.candidates[0] = Candidate(addr=0, advertised_rank=128, version=1, confirmed=True)
         before = node.trickle.counter
-        handle_dio(node, DioMessage(src=0, dodag_id=0, version=1, rank=128))
+        handle_dio(node, DioMessage(src=0, version=1, rank=128))
         assert node.trickle.counter == before + 1
 
     def test_root_tracks_but_never_selects(self):
         root = NodeState(id=0, role=Role.ROOT)
-        handle_dio(root, DioMessage(src=4, dodag_id=0, version=1, rank=256))
+        handle_dio(root, DioMessage(src=4, version=1, rank=256))
         assert root.preferred_parent is None
         assert root.rank == MIN_RANK
         assert 4 in root.candidates
@@ -268,7 +269,7 @@ class TestSettledSkip:
                     version = node.version + (1 if bump < 0.01 else -1 if bump < 0.05 else 0)
                     if rng.random() < 0.1:  # most DIOs repeat the last advertisement
                         advertised[addr] = rng.choice(range(128, 1025, 64))
-                    dio = DioMessage(addr, 0, version, advertised[addr])
+                    dio = DioMessage(addr, version, advertised[addr])
                     call = lambda n: handle_dio(n, dio)  # noqa: E731
                 elif kind < 0.8:
                     ok = rng.random() < 0.4
@@ -298,3 +299,19 @@ class TestSettledSkip:
             node.settled = True
 
         assert self.first_divergence(seed, naive)[0] is not None
+
+
+
+def test_rpl_imports_nothing_from_the_package():
+    """RPL holds routing only: the detector and the data path live elsewhere."""
+    with open(rpl.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, ast.unparse(node)  # no relative import
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert all(name.split(".")[0] != "rplsim" for name in names), ast.unparse(node)
