@@ -47,6 +47,9 @@ class ScenarioConfig:
     trace_positions: bool = False
 
     def __post_init__(self) -> None:
+        if any(c in self.name for c in "\t\n\r"):
+            # the name lands in run_info, one field of a tab-separated line
+            raise ConfigError("name must not contain a tab or a line break")
         if self.duration_ms <= 0:
             raise ConfigError("duration must be positive")
         if self.n_sensors < 0 or self.n_attackers < 0:

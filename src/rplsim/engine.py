@@ -59,7 +59,9 @@ Protocol timings are the fixed module constants below, not configuration:
 unicast airtime, probe strobes and cooldown, data retries and backoff,
 forwarding and DAO delays, and the mobility step.  The detector has no
 timer here: ``ids.process_dio`` decides on each reception whether its
-periodic check is due.
+periodic check is due, and answers with its ``(kind, subject)`` events,
+which ``_receive_dio`` records as they come, or ``None``, which it records
+as an ``ids_discard`` before dropping the copy.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from . import metrics as metrics_mod
 from . import rpl
 from .attack import AttackerState, attacker_step
 from .config import ScenarioConfig
-from .ids import ACCEPTED, DISCARDED, IdsState
+from .ids import IdsState
 from .radio import Mobility, Radio
 from .rpl import DioMessage, NodeState, Role
 
@@ -327,17 +329,12 @@ class Simulation:
                 continue
             detector = detectors.get(node_id)
             if detector is not None:
-                verdict = ids_mod.process_dio(detector, src, now)
-                if verdict is DISCARDED:
+                events = ids_mod.process_dio(detector, src, now)
+                if events is None:
                     trace.append((now, node_id, "ids_discard", src))
                     continue
-                if verdict is not ACCEPTED:
-                    for subject in verdict.newly_suspected:
-                        trace.append((now, node_id, "ids_suspect", subject))
-                    for subject in verdict.newly_blocked:
-                        trace.append((now, node_id, "ids_block", subject))
-                    if verdict.overflow:
-                        trace.append((now, node_id, "ids_overflow", src))
+                for kind, subject in events:
+                    trace.append((now, node_id, kind, subject))
             node = nodes[node_id]
             self._apply_actions(node, rpl.handle_dio(node, dio))
 

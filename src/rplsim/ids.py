@@ -18,8 +18,9 @@ entry, and its DIOs are discarded on arrival from then on.
 
 All timestamps are integer virtual milliseconds supplied by the caller; the
 module itself never reads a clock, so identical call sequences produce
-identical states.  It holds no mutable global state; verdicts are immutable,
-and a reception that runs no check returns a shared one (``DISCARDED`` etc.).
+identical states.  It holds no mutable global state.  ``process_dio``
+answers with the trace events it raises, as ``(kind, subject)`` pairs named
+by the trace's ``ids_*`` kinds, or ``None`` for a blocked sender's copy.
 """
 
 from __future__ import annotations
@@ -67,27 +68,6 @@ class IdsConfig:
             raise ValueError("check_period_ms must be >= 1")
 
 
-@dataclass(frozen=True)
-class DioVerdict:
-    """Outcome of one DIO reception.
-
-    ``newly_suspected`` lists the suspicion events raised by an embedded
-    malicious-check (first detection and repeat detections short of the block
-    threshold); ``newly_blocked`` lists senders that reached the threshold on
-    this reception; ``discarded`` marks a blocked sender's DIO.
-    """
-
-    discarded: bool = False
-    newly_suspected: tuple[int, ...] = ()
-    newly_blocked: tuple[int, ...] = ()
-    overflow: bool = False
-
-
-DISCARDED = DioVerdict(discarded=True)
-ACCEPTED = DioVerdict()
-ACCEPTED_OVERFLOW = DioVerdict(overflow=True)
-
-
 @dataclass
 class IdsState:
     """One node's detector, with its tables keyed by sender address."""
@@ -103,19 +83,21 @@ class IdsState:
         self.next_check_ms = self.config.activation_delay_ms
 
 
-def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
+def process_dio(state: IdsState, src_ip: int, now: int) -> tuple[tuple[str, int], ...] | None:
     """Account for one received DIO and run the malicious-check if one is due.
 
-    Blocked senders are rejected before any table mutation.  Known senders
-    get their timestamps shifted and count incremented; unknown senders get
-    a fresh entry whose t_previous is 0, so a brand-new neighbor's first
-    observed gap is its whole uptime.  When the table is full the sender is
-    simply not tracked.
+    Blocked senders are rejected before any table mutation, with ``None``.
+    Known senders get their timestamps shifted and count incremented; unknown
+    senders get a fresh entry whose t_previous is 0, so a brand-new
+    neighbor's first observed gap is its whole uptime.  When the table is
+    full the sender is simply not tracked.  Returns the events in trace
+    order: ``("ids_suspect", addr)``s, then ``("ids_block", addr)``s, then
+    ``("ids_overflow", src_ip)``; a reception that raises none returns ``()``.
     """
     if state.blacklist.get(src_ip, 0) >= state.config.block_threshold:
-        return DISCARDED
+        return None
 
-    overflow = False
+    overflow = ()
     entry = state.neighbors.get(src_ip)
     if entry is not None:
         entry.t_previous = entry.t_recent
@@ -124,16 +106,20 @@ def process_dio(state: IdsState, src_ip: int, now: int) -> DioVerdict:
     elif len(state.neighbors) < state.config.node_max:
         state.neighbors[src_ip] = NeighborEntry(t_recent=now, dio_count=1)
     else:
-        overflow = True
+        overflow = (("ids_overflow", src_ip),)
         state.overflow_count += 1
 
     if now < state.next_check_ms:
-        return ACCEPTED_OVERFLOW if overflow else ACCEPTED
+        return overflow
     period = state.config.check_period_ms
     # the first grid point after now, however many points the silence skipped
     state.next_check_ms = now + period - (now - state.config.activation_delay_ms) % period
     suspected, blocked = check_malicious(state)
-    return DioVerdict(False, tuple(suspected), tuple(blocked), overflow)
+    return (
+        *[("ids_suspect", addr) for addr in suspected],
+        *[("ids_block", addr) for addr in blocked],
+        *overflow,
+    )
 
 
 def check_malicious(state: IdsState) -> tuple[list[int], list[int]]:

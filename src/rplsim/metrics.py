@@ -17,21 +17,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    n_attackers: int
-    attack_start_ms: int
-    first_attacker: int
-
-    @property
-    def attacker_set(self) -> frozenset[int]:
-        if self.n_attackers == 0:
-            return frozenset()
-        return frozenset(
-            range(self.first_attacker, self.first_attacker + self.n_attackers)
-        )
-
-
-@dataclass(frozen=True)
 class RunMetrics:
     pdr: float | None
     ae2ed_ms: float | None
@@ -49,25 +34,25 @@ class RunMetrics:
     loop_drops: int
 
 
-def ground_truth(trace) -> GroundTruth:
+def _attack_truth(trace) -> tuple[range, int]:
+    """The attacker ids and the attack start, from the ``run_info`` record."""
     for rec in trace:
         if rec[2] == "run_info":
             _, _, _, _name, _seed, _sensors, n_attackers, start, _duration, first = rec
-            return GroundTruth(n_attackers, start, first)
+            return range(first, first + n_attackers), start
     raise ValueError("trace has no run_info record")
 
 
-def _since_attack(first_seen: dict[int, int], truth: GroundTruth) -> dict[int, int | None]:
+def _since_attack(first: dict[int, int], attackers: range, start: int) -> dict[int, int | None]:
     return {
-        attacker: first_seen[attacker] - truth.attack_start_ms if attacker in first_seen else None
-        for attacker in sorted(truth.attacker_set)
+        attacker: first[attacker] - start if attacker in first else None
+        for attacker in attackers
     }
 
 
 def from_trace(trace) -> RunMetrics:
     """The headline figures and the record counts in one pass."""
-    truth = ground_truth(trace)
-    attackers = truth.attacker_set
+    attackers, attack_start_ms = _attack_truth(trace)
     counts = dict.fromkeys(("dio_sent", "dis_sent", "dao_sent", "data_sent", "data_delivered",
                             "loop_drop", "ids_overflow", "ids_suspect", "ids_block"), 0)
     delay_total = 0
@@ -89,8 +74,8 @@ def from_trace(trace) -> RunMetrics:
         pdr=delivered / sent if sent else None,
         ae2ed_ms=delay_total / delivered if delivered else None,
         ada=(suspicions - wrong["ids_suspect"]) / suspicions if suspicions else None,
-        frt_ms=_since_attack(first["ids_suspect"], truth),
-        block_ms=_since_attack(first["ids_block"], truth),
+        frt_ms=_since_attack(first["ids_suspect"], attackers, attack_start_ms),
+        block_ms=_since_attack(first["ids_block"], attackers, attack_start_ms),
         dio_sent=counts["dio_sent"],
         dis_sent=counts["dis_sent"],
         dao_sent=counts["dao_sent"],

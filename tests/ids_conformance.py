@@ -8,8 +8,8 @@ a line tracer to certify full coverage of the ids module.
 
 from __future__ import annotations
 
+from rplsim import ids
 from rplsim.ids import (
-    ACCEPTED,
     IdsConfig,
     IdsState,
     NeighborEntry,
@@ -57,8 +57,7 @@ def scenario_insert_update():
         "overflow_count": 0,
     }
 
-    v = process_dio(state, 7, 1000)
-    assert not v.discarded and not v.overflow
+    assert process_dio(state, 7, 1000) == ()
     assert snapshot(state) == {
         "neighbors": [[7, 0, 1000, 1]],
         "blacklist": [],
@@ -66,8 +65,7 @@ def scenario_insert_update():
         "overflow_count": 0,
     }
 
-    v = process_dio(state, 7, 1200)
-    assert not v.discarded
+    assert process_dio(state, 7, 1200) == ()
     assert snapshot(state)["neighbors"] == [[7, 1000, 1200, 2]]
     assert len(state.neighbors) == 1
 
@@ -79,25 +77,21 @@ def scenario_early_detection_no_mutation():
     state.blacklist[3] = 5
 
     before = snapshot(state)
-    v = process_dio(state, 3, 900)
-    assert v.discarded
-    assert v.newly_suspected == () and v.newly_blocked == ()
+    assert process_dio(state, 3, 900) is None
     assert snapshot(state) == before
 
     # merely suspected senders are still accepted and tracked
     state.blacklist[3] = 2
-    v = process_dio(state, 3, 900)
-    assert not v.discarded
+    assert process_dio(state, 3, 900) == ()
     assert snapshot(state)["neighbors"] == [[3, 500, 900, 2]]
 
 
 def scenario_table_overflow():
     """A full neighbor table drops tracking for new senders, with a count."""
     state = fresh_state(node_max=2)
-    assert not process_dio(state, 11, 100).overflow
-    assert not process_dio(state, 22, 200).overflow
-    v = process_dio(state, 33, 300)
-    assert not v.discarded and v.overflow
+    assert process_dio(state, 11, 100) == ()
+    assert process_dio(state, 22, 200) == ()
+    assert process_dio(state, 33, 300) == (("ids_overflow", 33),)
     assert snapshot(state) == {
         "neighbors": [[11, 0, 100, 1], [22, 0, 200, 1]],
         "blacklist": [],
@@ -174,13 +168,13 @@ def scenario_escalation_to_block():
         v = process_dio(state, attacker, t + 200)
         t += 40_000  # beyond one check period before the next round
         if round_no < block_at:
-            assert v.newly_suspected == (attacker,) and v.newly_blocked == ()
+            assert v == (("ids_suspect", attacker),)
             assert snapshot(state)["blacklist"] == [[attacker, round_no, False]]
             # re-prime a small gap for the next round's trigger reception;
             # the check this falls due for sees a 39.8 s gap and flags no one
             process_dio(state, attacker, t)
         else:
-            assert v.newly_suspected == () and v.newly_blocked == (attacker,)
+            assert v == (("ids_block", attacker),)
 
     assert snapshot(state) == {
         "neighbors": [
@@ -197,7 +191,7 @@ def scenario_escalation_to_block():
 
     # monotone blocking from now on
     for dt in (1, 2, 3):
-        assert process_dio(state, attacker, t + dt).discarded
+        assert process_dio(state, attacker, t + dt) is None
     assert len(state.neighbors) == len(ATTACK_COUNTS)
 
 
@@ -239,7 +233,7 @@ def scenario_remove_entry():
     for k in range(51):
         process_dio(state, attacker, t + k * 200)
     t += 50 * 200
-    assert process_dio(state, newcomer, t + 50).overflow  # full: not tracked
+    assert process_dio(state, newcomer, t + 50) == (("ids_overflow", newcomer),)  # not tracked
 
     assert check_malicious(state) == ([attacker], [])
     process_dio(state, attacker, t + 200)
@@ -247,29 +241,68 @@ def scenario_remove_entry():
     assert sorted(state.neighbors) == [1, 2, 3, 4, 5]
     assert snapshot(state)["blacklist"] == [[attacker, 2, True]]
 
-    v = process_dio(state, newcomer, t + 300)
-    assert not v.discarded and not v.overflow
+    assert process_dio(state, newcomer, t + 300) == ()
     assert snapshot(state)["neighbors"][-1] == [newcomer, 0, t + 300, 1]
+    assert state.overflow_count == 1
+
+
+def scenario_event_order():
+    """One reception's events come suspects first, then blocks, then its overflow."""
+    counts = FLAT_COUNTS + [3, 5, 4, 4]  # nine legitimate neighbors keep the fence low
+    state = fresh_state(
+        node_max=len(counts) + 2, block_threshold=2, activation_delay_ms=LATE_ACTIVATION_MS
+    )
+    _populate(state, counts)
+    blocked, suspected, newcomer = 20, 21, 30
+    t = 1_000_000
+    for k in range(51):
+        process_dio(state, blocked, t + k * 200)
+        process_dio(state, suspected, t + k * 200 + 100)
+    state.blacklist[blocked] = 1  # one detection short of the block
+    t += 51 * 200
+
+    # counts [3,3,3,4,4,4,4,5,5,51,51]: fence 7; both flooders exceed it and
+    # the check visits the blocked one first, yet its block comes second
+    state.next_check_ms = t
+    assert process_dio(state, newcomer, t) == (
+        ("ids_suspect", suspected),
+        ("ids_block", blocked),
+        ("ids_overflow", newcomer),
+    )
+    assert snapshot(state)["blacklist"] == [[blocked, 2, True], [suspected, 1, False]]
+    assert blocked not in state.neighbors and newcomer not in state.neighbors
     assert state.overflow_count == 1
 
 
 def scenario_check_schedule():
     """Checks fall due at activation, then on its grid of check periods."""
     state = fresh_state()
-    # a reception that runs no check returns the shared ACCEPTED verdict
-    for now, checked, next_check in [
-        (119_999, False, 120_000),
-        (120_000, True, 150_000),
-        (121_000, False, 150_000),
-        (149_999, False, 150_000),
-        (150_000, True, 180_000),
-        # a silence of more than one period: one check, then the grid again
-        (250_000, True, 270_000),
-        (269_999, False, 270_000),
-        (270_000, True, 300_000),
-    ]:
-        assert (process_dio(state, 1, now) is not ACCEPTED) == checked
-        assert state.next_check_ms == next_check
+    checks = []
+    original = ids.check_malicious
+
+    def counting(checked_state):
+        checks.append(checked_state)
+        return original(checked_state)
+
+    ids.check_malicious = counting  # process_dio looks it up on the module
+    try:
+        for now, checked, next_check in [
+            (119_999, False, 120_000),
+            (120_000, True, 150_000),
+            (121_000, False, 150_000),
+            (149_999, False, 150_000),
+            (150_000, True, 180_000),
+            # a silence of more than one period: one check, then the grid again
+            (250_000, True, 270_000),
+            (269_999, False, 270_000),
+            (270_000, True, 300_000),
+        ]:
+            before = len(checks)
+            assert process_dio(state, 1, now) == ()
+            assert len(checks) - before == checked
+            assert state.next_check_ms == next_check
+    finally:
+        ids.check_malicious = original
 
 
 def scenario_config_validation():
@@ -306,6 +339,7 @@ SCENARIOS = [
     scenario_blocked_record_guard,
     scenario_blacklist_overflow,
     scenario_remove_entry,
+    scenario_event_order,
     scenario_check_schedule,
 ]
 

@@ -458,6 +458,17 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="must be finite"):
             ScenarioConfig(n_sensors=1, n_attackers=0, positions=((0, 0.0, 0.0), (1, math.nan, 5.0)))
 
+    def test_continuation_line_in_name_rejected(self, tmp_path):
+        # the indented line continues the value: the name would span two trace lines
+        text = "[scenario]\nname = demo\n  second-static-attack\n"
+        with pytest.raises(ConfigError, match="^name must not contain a tab or a line break$"):
+            load_batch(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("name", ["de\tmo", "demo\n", "de\rmo"])
+    def test_name_that_breaks_a_trace_line_rejected(self, name):
+        with pytest.raises(ConfigError, match="name must not contain"):
+            ScenarioConfig(name=name)
+
     def test_address_layout(self):
         sc = ScenarioConfig(name="x", n_sensors=3, n_attackers=2)
         assert sc.root_id == 0

@@ -39,9 +39,9 @@ class TestLayerContract:
 
         def counting(state, src, now):
             nonlocal discards
-            verdict = original(state, src, now)
-            discards += verdict.discarded
-            return verdict
+            events = original(state, src, now)
+            discards += events is None
+            return events
 
         monkeypatch.setattr(ids, "process_dio", counting)
         _, trace = engine.run(make_variant(small_base(), "cosec", "static", 1000), 1)
@@ -59,10 +59,10 @@ class TestDetectorSchedule:
         original_process, original_check = ids.process_dio, ids.check_malicious
 
         def process(state, src, now):
-            verdict = original_process(state, src, now)
-            if not verdict.discarded:
+            events = original_process(state, src, now)
+            if events is not None:
                 accepted.append((node_of[id(state)], now))
-            return verdict
+            return events
 
         def check(state):
             checks.append((node_of[id(state)], sim.now))

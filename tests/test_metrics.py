@@ -9,7 +9,7 @@ import pytest
 
 from rplsim import engine, metrics
 from rplsim.config import ScenarioConfig, make_variant
-from rplsim.metrics import Aggregate, aggregate, censored_frt_values, from_trace, ground_truth
+from rplsim.metrics import Aggregate, aggregate, censored_frt_values, from_trace
 from rplsim.radio import RadioConfig
 from rplsim.trace import read_trace, write_trace
 from tests.metrics_reference import compute_ada, compute_ae2ed, compute_frt, compute_pdr
@@ -23,18 +23,20 @@ def trace_with(*records):
 
 
 class TestGroundTruth:
+    """``from_trace`` takes the attackers and the attack start from ``run_info``."""
+
     def test_parses_run_info(self):
-        truth = ground_truth([INFO])
-        assert truth.attacker_set == {3}
-        assert truth.attack_start_ms == 90_000
+        suspected = from_trace(trace_with((90_500, 1, "ids_suspect", 3)))
+        assert suspected.frt_ms.keys() == suspected.block_ms.keys() == {3}
+        assert suspected.frt_ms == {3: 500}
 
     def test_missing_run_info_rejected(self):
         with pytest.raises(ValueError, match="run_info"):
-            ground_truth([(0, 1, "data_sent", 1, 1)])
+            from_trace([(0, 1, "data_sent", 1, 1)])
 
     def test_no_attackers_empty_set(self):
-        truth = ground_truth([(0, -1, "run_info", "x", 1, 2, 0, 90_000, 100_000, -1)])
-        assert truth.attacker_set == frozenset()
+        m = from_trace([(0, -1, "run_info", "x", 1, 2, 0, 90_000, 100_000, -1)])
+        assert m.frt_ms == m.block_ms == {}
 
 
 class TestHeadlineMetrics:
