@@ -16,14 +16,14 @@ seed (topology, radio, mobility, jitter), so toggling one subsystem cannot
 perturb another's draws.  Virtual time is integer milliseconds.
 
 ``Simulation.positions`` is the one owner of geometry: a list of ``[x, y]``
-indexed by node id, built once by ``_build_positions`` and read in place by
-the in-range lists, mobility and the ``position`` records.  The node table
-``nodes`` holds RPL state for the gateway and the sensors only; attackers
-live in ``attackers`` with nothing but their captured DIO.  The detectors
-sit beside RPL, not in it: ``detectors`` maps each protected node (the
-gateway and the sensors) to its ``IdsState``, and is empty when the IDS is
-off.  A sensor's data sequence number rides on its ``_generate_data``
-event.
+indexed by node id, built once by ``_build_positions`` (attackers where
+``attack.place`` puts them) and read in place by the in-range lists,
+mobility and the ``position`` records.  ``nodes`` holds RPL state for the
+gateway and the sensors only; attackers live in ``attackers`` with their
+captured DIO alone, and tick when ``attack.attacker_step`` says.  The
+detectors sit beside RPL: ``detectors`` maps each protected node (the
+gateway and the sensors) to its ``IdsState``, empty when the IDS is off.
+A sensor's data sequence number rides on its ``_generate_data`` event.
 
 The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
 one short airtime unit and are never retried; unicast frames strobe for a
@@ -76,7 +76,7 @@ from dataclasses import dataclass
 from . import ids as ids_mod
 from . import metrics as metrics_mod
 from . import rpl
-from .attack import AttackerState, attacker_step
+from .attack import AttackerState, attacker_step, place
 from .config import ScenarioConfig
 from .ids import IdsState
 from .radio import Mobility, Radio
@@ -200,9 +200,8 @@ class Simulation:
         legit = [[w / 2.0, h / 2.0]]  # the root, then the sensors in id order
         for _ in range(LAYOUT_TRIES):
             legit[1:] = [[rng.random() * w, rng.random() * h] for _ in scenario.sensor_ids]
-            neighbours = self.radio.in_range_lists(legit)
-            seen = {scenario.root_id}
-            frontier = [scenario.root_id]
+            neighbours = [self.radio.in_range(legit, node) for node in range(len(legit))]
+            seen, frontier = {scenario.root_id}, [scenario.root_id]
             while frontier:
                 fresh = [n for n in neighbours[frontier.pop()] if n not in seen]
                 seen.update(fresh)
@@ -214,39 +213,15 @@ class Simulation:
                 f"seed {self.seed}: no connected layout of {scenario.n_sensors} sensors "
                 f"in {LAYOUT_TRIES} tries with tx_range_m = {reach}"
             )
-        # well-connected legit nodes: their neighbor tables will be large
-        # enough for the quartile fence to have any discriminating power
+        # anchors: legit nodes whose tables are big enough for the fence to discriminate
         anchors = [p for p, near in zip(legit, neighbours) if len(near) >= 5]
-        # attackers go one per quadrant; each gets 100 tries to land within
-        # 0.8 x range of an anchor no earlier attacker reaches, then keeps its
-        # last candidate, with a warning if no anchor is within 0.8 x range
-        placed: list[list[float]] = []
-        for index, attacker in enumerate(scenario.attacker_ids):
-            qx, qy = index % 2, (index // 2) % 2
-            for _ in range(100):
-                candidate = [
-                    (qx + rng.random()) * w / 2.0,
-                    (qy + rng.random()) * h / 2.0,
-                ]
-                victims = [
-                    p for p in anchors if math.dist(candidate, p) <= 0.8 * reach
-                ]
-                if not victims:
-                    continue
-                private = [
-                    p
-                    for p in victims
-                    if all(math.dist(other, p) > reach for other in placed)
-                ]
-                if private:
-                    break
-            if not victims:
-                log.warning(
-                    "seed %d: attacker %d has no well-connected node within 0.8 x range",
-                    self.seed,
-                    attacker,
-                )
-            placed.append(candidate)
+        placed, stranded = place(anchors, reach, scenario.mobility.area, scenario.n_attackers, rng)
+        for index in stranded:
+            log.warning(
+                "seed %d: attacker %d has no well-connected node within 0.8 x range",
+                self.seed,
+                scenario.attacker_ids[index],
+            )
         return legit + placed
 
     def _schedule_initial(self) -> None:
@@ -258,7 +233,9 @@ class Simulation:
             offset = int(self.rng_jitter.random() * scenario.data_interval_ms)
             self._schedule(offset, self._generate_data, (sensor, 1))
         for attacker in scenario.attacker_ids:
-            self._schedule(scenario.attacker.attack_start_ms, self._on_attack_step, (attacker,))
+            # asked before time 0 it names its first tick, so a tick at 0 runs in queue order
+            _, first_ms = attacker_step(attacker, self.attackers[attacker], -1)
+            self._schedule(first_ms, self._on_attack_step, (attacker,))
         if self.mobility.mobile_ids:
             self._schedule(MOBILITY_STEP_MS, self._on_mobility_step, ())
         for at_ms in scenario.global_repairs_ms:
@@ -483,14 +460,11 @@ class Simulation:
         self._schedule(fire, self._on_trickle_fire, (node_id, ts.generation))
 
     def _on_attack_step(self, attacker_id: int) -> None:
-        state = self.attackers[attacker_id]
-        dio = attacker_step(attacker_id, state, self.now)
+        dio, next_ms = attacker_step(attacker_id, self.attackers[attacker_id], self.now)
         if dio is not None:
             self._record(self.now, attacker_id, "dio_sent", dio.rank, dio.version)
             self._transmit(Frame("dio", attacker_id, None, payload=dio), self.now)
-        self._schedule(
-            self.now + state.config.replay_interval_ms, self._on_attack_step, (attacker_id,)
-        )
+        self._schedule(next_ms, self._on_attack_step, (attacker_id,))
 
     def _on_mobility_step(self) -> None:
         self.mobility.move(self.positions, MOBILITY_STEP_MS, self.now)
@@ -502,9 +476,9 @@ class Simulation:
 
     def _on_global_repair(self) -> None:
         root = self.nodes[self.scenario.root_id]
-        rpl.global_repair(root)
+        actions = rpl.global_repair(root)
         self._record(self.now, root.id, "global_repair", root.version)
-        self._apply_actions(root, [("trickle_reset",)])
+        self._apply_actions(root, actions)
 
     # -- main loop ---------------------------------------------------------
 

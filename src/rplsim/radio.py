@@ -92,10 +92,6 @@ class Radio:
             if other != node and dist(here, there) <= reach
         ]
 
-    def in_range_lists(self, positions) -> list[list[int]]:
-        """``in_range`` for every node id, in id order."""
-        return [self.in_range(positions, node) for node in range(len(positions))]
-
     def deliver(
         self,
         now: int,

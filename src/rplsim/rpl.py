@@ -274,7 +274,8 @@ def note_link_outcome(
     return actions + select_parent(node)
 
 
-def global_repair(root: NodeState) -> None:
-    """Bump the DODAG version; the new number spreads with the next DIOs."""
+def global_repair(root: NodeState) -> list[tuple]:
+    """Bump the DODAG version; a Trickle reset spreads it with the next DIOs."""
     root.version += 1
+    return [("trickle_reset",)]
 

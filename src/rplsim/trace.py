@@ -2,8 +2,8 @@
 
 The in-memory trace is a list of tuples of ints and short strings, appended
 in execution order.  Writing then re-reading a trace reproduces the tuples
-exactly (ints stay ints), so metrics recomputed from a file match the live
-run.
+exactly (ints stay ints, and ``run_info``'s scenario name stays a string
+whatever it spells), so metrics recomputed from a file match the live run.
 """
 
 from __future__ import annotations
@@ -35,5 +35,8 @@ def read_trace(path) -> list[tuple]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            out.append(tuple(_parse_field(tok) for tok in line.split("\t")))
+            fields = [_parse_field(tok) for tok in line.split("\t")]
+            if fields[2:3] == ["run_info"]:  # its scenario name is text, "2024" included
+                fields[3] = line.split("\t")[3]
+            out.append(tuple(fields))
     return out

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import logging
+import math
 import os
+import random
 from dataclasses import replace
 
 import pytest
 
-from rplsim import engine
-from rplsim.attack import AttackerConfig, AttackerState, attacker_step
+from rplsim import attack, engine
+from rplsim.attack import AttackerConfig, AttackerState, attacker_step, place
 from rplsim.config import ScenarioConfig, load_batch
 from rplsim.radio import RadioConfig
 from rplsim.rpl import DioMessage
@@ -26,50 +29,56 @@ DIO_A = DioMessage(src=1, version=1, rank=256)
 DIO_B = DioMessage(src=2, version=1, rank=384)
 
 
+def payload(addr, state, now):
+    dio, next_ms = attacker_step(addr, state, now)
+    assert next_ms == now + state.config.replay_interval_ms  # from the start on
+    return dio
+
+
 class TestCapture:
     def test_nothing_captured_is_silent(self):
         addr, state = make_attacker()
-        assert attacker_step(addr, state, 95_000) is None
+        assert attacker_step(addr, state, 95_000) == (None, 96_000)  # the cadence holds
 
     def test_first_heard_wins(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
         state.overhear(DIO_B)
-        out = attacker_step(addr, state, 90_000)
+        out = payload(addr, state, 90_000)
         assert out.rank == DIO_A.rank
 
     def test_payload_frozen_once_replaying(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
-        first = attacker_step(addr, state, 90_000)
+        first = payload(addr, state, 90_000)
         state.overhear(DIO_B)
-        second = attacker_step(addr, state, 91_000)
+        second = payload(addr, state, 91_000)
         assert (first.rank, first.version) == (second.rank, second.version)
 
     def test_a_newer_version_replaces_the_capture(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
-        first = attacker_step(addr, state, 90_000)
+        first = payload(addr, state, 90_000)
         newer = DioMessage(src=2, version=2, rank=512)
         state.overhear(newer)
         state.overhear(replace(newer, src=3, rank=640))  # same version: kept out
-        second = attacker_step(addr, state, 91_000)
+        second = payload(addr, state, 91_000)
         assert (first.version, first.rank) == (1, DIO_A.rank)
         assert (second.src, second.version, second.rank) == (addr, 2, 512)
         state.overhear(DIO_B)  # an older version does not bring it back
-        assert attacker_step(addr, state, 92_000) is second
+        assert payload(addr, state, 92_000) is second
 
     def test_a_same_version_dio_keeps_the_replay(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
-        first = attacker_step(addr, state, 90_000)
+        first = payload(addr, state, 90_000)
         state.overhear(DIO_B)
-        assert attacker_step(addr, state, 91_000) is first
+        assert payload(addr, state, 91_000) is first
 
     def test_replay_is_non_spoofed(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
-        out = attacker_step(addr, state, 90_000)
+        out = payload(addr, state, 90_000)
         assert out.src == addr != DIO_A.src
 
 
@@ -77,14 +86,82 @@ class TestTiming:
     def test_silent_before_attack_start(self):
         addr, state = make_attacker()
         state.overhear(DIO_A)
-        assert attacker_step(addr, state, 89_999) is None
-        assert attacker_step(addr, state, 90_000) is not None
+        # before the start the next tick is the start itself, whatever the time
+        for now in (-1, 0, 45_000, 89_999):
+            assert attacker_step(addr, state, now) == (None, 90_000)
+        assert payload(addr, state, 90_000) is not None
+
+    @pytest.mark.parametrize("interval", [1000, 3000])
+    def test_next_tick_is_one_interval_on_while_nothing_is_captured(self, interval):
+        addr, state = make_attacker(interval)
+        assert attacker_step(addr, state, 90_000) == (None, 90_000 + interval)
+        state.overhear(DIO_A)
+        assert attacker_step(addr, state, 93_500)[1] == 93_500 + interval
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="replay_interval_ms"):
             AttackerConfig(replay_interval_ms=0)
         with pytest.raises(ValueError, match="attack_start_ms"):
             AttackerConfig(attack_start_ms=-1)
+
+
+class TestPlace:
+    """``attack.place`` is pure: anchors, reach, area, count and a stream in, positions out."""
+
+    AREA = (150.0, 150.0)
+
+    def test_each_index_lands_in_its_own_quadrant(self):
+        # anchors at every quadrant's centre, so no attacker is stranded
+        anchors = [[37.5, 37.5], [112.5, 37.5], [37.5, 112.5], [112.5, 112.5]]
+        placed, stranded = place(anchors, 65.0, self.AREA, 5, random.Random(1))
+        assert stranded == []
+        quadrants = [(int(x // 75.0), int(y // 75.0)) for x, y in placed]
+        assert quadrants == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)]
+
+    def test_empty_anchors_leave_every_index_stranded(self):
+        rng = random.Random(2)
+        placed, stranded = place([], 65.0, self.AREA, 4, rng)
+        assert stranded == [0, 1, 2, 3] and len(placed) == 4
+        # each one spent its whole budget: two draws per try
+        spent = random.Random(2)
+        for _ in range(4 * 100 * 2):
+            spent.random()
+        assert rng.getstate() == spent.getstate()
+
+    def test_no_attackers_draw_nothing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert place([[1.0, 1.0]], 65.0, self.AREA, 0, rng) == ([], [])
+        assert rng.getstate() == state
+
+    def test_a_later_attacker_prefers_an_anchor_no_earlier_one_reaches(self):
+        # two anchors deep in the first quadrant, out of every other
+        # quadrant's reach: attackers 1-3 are stranded, and the fifth, back
+        # in the first quadrant, must settle by the anchor the first misses
+        anchors, reach = [[15.0, 15.0], [45.0, 45.0]], 20.0
+        for seed in range(20):
+            placed, stranded = place(anchors, reach, self.AREA, 5, random.Random(seed))
+            assert stranded == [1, 2, 3]
+            first, fifth = placed[0], placed[4]
+            mine = [a for a in anchors if math.dist(fifth, a) <= 0.8 * reach]
+            assert mine and all(math.dist(first, a) > reach for a in mine)
+
+
+def test_attack_imports_only_rpl_from_the_package():
+    """The attacker stays pure: it imports RPL's message and no engine, radio or detector."""
+    with open(attack.__file__) as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                assert (node.level, node.module) == (1, "rpl"), ast.unparse(node)
+                continue
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert all(name.split(".")[0] != "rplsim" for name in names), ast.unparse(node)
 
 
 def chain_scenario(duration_ms):

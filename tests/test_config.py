@@ -6,6 +6,7 @@ import configparser
 import math
 import operator
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -377,6 +378,14 @@ class TestVariants:
         base = load_batch(os.path.join(CONFIGS, name)).base
         assert base.ids.gap_threshold_ms == 4500
         assert base.positions == ()
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+    def test_shipped_configs_run(self, name):
+        # every variant of every shipped config runs, so none can rot unseen
+        batch = load_batch(os.path.join(CONFIGS, name))
+        for label, scenario, _ in batch.variants():
+            metrics, _ = engine.run(replace(scenario, duration_ms=150_000), batch.seeds[0])
+            assert 0.0 <= metrics.pdr <= 1.0, label
 
     @pytest.mark.parametrize(
         "text,axis",

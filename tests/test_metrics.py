@@ -232,3 +232,12 @@ class TestTraceRoundTrip:
         replayed = read_trace(path)
         assert replayed == trace
         assert from_trace(replayed) == live_metrics
+
+    @pytest.mark.parametrize("name", ["2024", "1_000", "-7", "007"])
+    def test_a_numeric_scenario_name_stays_a_string(self, tmp_path, name):
+        sc = ScenarioConfig(name=name, duration_ms=20_000, n_sensors=3, n_attackers=0)
+        _, trace = engine.run(sc, seed=1)
+        assert trace[0][:4] == (0, -1, "run_info", name)
+        path = tmp_path / "run.tsv"
+        write_trace(trace, path)
+        assert read_trace(path) == trace

@@ -25,7 +25,8 @@ def make_radio(**kwargs):
 class TestUnitDisk:
     def test_out_of_range_is_lost(self):
         radio = make_radio(base_loss=0.0)
-        in_range = radio.in_range_lists([[0.0, 0.0], [51.0, 0.0]])
+        positions = [[0.0, 0.0], [51.0, 0.0]]
+        in_range = [radio.in_range(positions, node) for node in (0, 1)]
         assert in_range == [[], []]
         assert radio.deliver(0, 10, in_range[0], IDLE) == []
         assert radio.deliver(0, 10, in_range[0], IDLE, 1) is False
@@ -38,7 +39,8 @@ class TestUnitDisk:
 
     def test_boundary_inclusive(self):
         radio = make_radio(base_loss=0.0, congestion_model="none")
-        in_range = radio.in_range_lists([[0.0, 0.0], [50.0, 0.0]])
+        positions = [[0.0, 0.0], [50.0, 0.0]]
+        in_range = [radio.in_range(positions, node) for node in (0, 1)]
         assert in_range == [[1], [0]]
         assert radio.deliver(0, 10, in_range[0], IDLE) == [1]
 

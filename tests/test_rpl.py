@@ -194,7 +194,7 @@ class TestDisAndRepair:
 
     def test_global_repair_bumps_version(self):
         root = NodeState(id=0, role=Role.ROOT)
-        global_repair(root)
+        assert global_repair(root) == [("trickle_reset",)]  # the root advertises it at once
         assert root.version == 2
         assert root.rank == MIN_RANK
 
