@@ -273,10 +273,34 @@ _FORMAT = {
 _BATCH_KEYS = ("replications", "seeds", "modes", "mobility_modes", "replay_intervals_ms")
 
 
+def _syntax_error(path: str, err: configparser.Error) -> ConfigError:
+    """A ``configparser`` syntax error as a ``ConfigError`` naming the file and line."""
+    if isinstance(err, configparser.DuplicateOptionError):
+        reason = f"[{err.section}] {err.option} is given twice"
+    elif isinstance(err, configparser.DuplicateSectionError):
+        reason = f"[{err.section}] is given twice"
+    elif isinstance(err, configparser.MissingSectionHeaderError):
+        reason = "a key comes before any [section] header"
+    else:
+        reason = "expected 'key = value' or a [section] header"
+    # a plain ParsingError lists every bad line; the others carry their own
+    line = getattr(err, "lineno", None) or err.errors[0][0]
+    return ConfigError(f"{path}, line {line}: {reason}")
+
+
 def load_batch(path: str) -> BatchConfig:
     """Parse a config file into a BatchConfig, validating every field."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
+    # no interpolation: a value is the text as written, ``%`` included
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        found = parser.read(path)
+    except (
+        configparser.DuplicateOptionError,
+        configparser.DuplicateSectionError,
+        configparser.ParsingError,
+    ) as err:
+        raise _syntax_error(path, err) from err
+    if not found:
         raise ConfigError(f"cannot read config file: {path}")
 
     given: dict[str, dict] = {section: {} for section in _FORMAT}

@@ -25,30 +25,35 @@ detectors sit beside RPL: ``detectors`` maps each protected node (the
 gateway and the sensors) to its ``IdsState``, empty when the IDS is off.
 A sensor's data sequence number rides on its ``_generate_data`` event.
 
-The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``) cost
-one short airtime unit and are never retried; unicast frames strobe for a
-long airtime per attempt until the destination acknowledges, and a node that
-is mid-transmission cannot hear incoming frames.  Whether a unicast was
+The MAC abstraction is thin: multicast frames (only ``dio`` and ``dis``)
+cost one short airtime unit and are never retried; unicast frames strobe for
+a long airtime per attempt until the destination acknowledges, and a node
+that is mid-transmission cannot hear incoming frames.  Whether a unicast was
 acknowledged is the radio's answer: the engine builds its ``Radio`` with the
 attacker ids as the addresses that never acknowledge.  A ``Frame`` is a
-slotted dataclass, and a failed attempt re-queues the same frame with its
-``attempt`` bumped rather than building a new one (probe strobes run in
-trains, below).  Every frame charges the congestion window of every node in
-range of the sender; the radio applies those charges when a draw in the
-same window reads a load, so every draw sees the same load as if each frame
-were charged on arrival.  Each sender's in-range receivers are kept as an
-exact list, computed on the sender's first transmission after a mobility
-step (the only times positions change), so every later frame of it computes
-no distances.  The radio may hold a row until its frame's window ends, so
-rows are replaced (the cache is cleared), never edited in place.
+slotted dataclass, and a failed data attempt re-queues the same frame with
+its ``attempt`` bumped rather than building a new one.  A link probe is
+per-link state, not a frame: each (node, target) pair has one slotted
+``Probe``, made on its first request and reused by every later chain of
+strobes, and its ``ready_at`` is the time before which no new chain starts
+(infinite while one is in flight, then the chain's end plus the cooldown).
+Its strobes run in trains, below.  Every frame and strobe charges the
+congestion window of every node in range of the sender; the radio applies
+those charges when a draw in the same window reads a load, so every draw
+sees the same load as if each frame were charged on arrival.  Each sender's
+in-range receivers are kept as an exact list, computed on the sender's first
+transmission after a mobility step (the only times positions change), so
+every later frame of it computes no distances.  The radio may hold a row
+until its frame's window ends, so rows are replaced (the cache is cleared),
+never edited in place.
 
-Probe strobes are most of an attack run's events, so the strobes that end
-in the same millisecond and sit next to each other in its bucket are queued
-as one event, a train, that runs them in queue order.  A train's args are
-the list of its strobes itself (every other event's args are a tuple), so a
-strobe joins a train exactly when that train is the last entry of its end
-time's bucket, and otherwise starts a new train.  Nothing runs between two
-adjacent strobes of a bucket, so running them from one event keeps first
+Probe strobes are most of an attack run's events, so the strobes that end in
+the same millisecond and sit next to each other in its bucket are queued as
+one event, a train, that runs them in queue order.  A train's args are the
+list of its strobing probes itself (every other event's args are a tuple),
+so a strobe joins a train exactly when that train is the last entry of its
+end time's bucket, and otherwise starts a new train.  Nothing runs between
+two adjacent strobes of a bucket, so running them from one event keeps first
 in, first out within the millisecond, and every delivery, draw and record
 stays in the same order.  While a train runs, a failed strobe goes straight
 back on the air, into the train that the last re-queue joined if it ends at
@@ -98,12 +103,24 @@ log = logging.getLogger("rplsim")
 
 @dataclass(slots=True)
 class Frame:
-    kind: str  # dio | dis | dao | dao_ack | probe | data
+    kind: str  # dio | dis | dao | dao_ack | data; probes are ``Probe``s
     src: int
     dst: int | None  # None = multicast
     payload: object = None
     airtime_ms: int = 0
     attempt: int = 1
+
+
+@dataclass(slots=True)
+class Probe:
+    """``src``'s link probe of ``dst``: one per pair, reused by every chain."""
+
+    src: int
+    dst: int
+    attempt: int = 1
+    # no new chain before this time: inf while one is in flight, then the
+    # end of its chain plus the cooldown
+    ready_at: float = 0
 
 
 @dataclass
@@ -170,9 +187,8 @@ class Simulation:
 
         self._tx_free_at = [0] * scenario.n_nodes  # when each transmitter idles
         self._in_range = _InRange(self.radio, self.positions)
-        # (node, target) -> no new probe before this time: inf while one is
-        # in flight, then the end of its chain plus the cooldown
-        self._next_probe_at: dict[tuple[int, int], float] = {}
+        # node id -> target -> Probe; a request builds no key tuple
+        self._probes: list[dict[int, Probe]] = [{} for _ in range(scenario.n_nodes)]
 
         self._record(
             0,
@@ -259,20 +275,21 @@ class Simulation:
 
     # -- transmission ------------------------------------------------------
 
-    def _reserve(self, frame: Frame, not_before: int) -> int:
-        """Queue ``frame`` on its sender's transceiver (FIFO in call order);
-        returns when its airtime ends."""
+    def _reserve(self, src: int, airtime_ms: int, not_before: int) -> int:
+        """Queue ``airtime_ms`` on ``src``'s transceiver (FIFO in call order);
+        returns when that airtime ends."""
         tx_free_at = self._tx_free_at
-        end = tx_free_at[frame.src] = max(not_before, tx_free_at[frame.src]) + frame.airtime_ms
+        end = tx_free_at[src] = max(not_before, tx_free_at[src]) + airtime_ms
         return end
 
     def _transmit(self, frame: Frame, not_before: int) -> None:
-        """Send a multicast or non-probe unicast frame; ``_on_delivery`` runs
-        when its airtime ends."""
+        """Send a multicast or unicast frame; ``_on_delivery`` runs when its
+        airtime ends."""
         frame.airtime_ms = (
             self.scenario.radio.airtime_per_msg_ms if frame.dst is None else UNICAST_AIRTIME_MS
         )
-        self._schedule(self._reserve(frame, not_before), self._on_delivery, (frame,))
+        end = self._reserve(frame.src, frame.airtime_ms, not_before)
+        self._schedule(end, self._on_delivery, (frame,))
 
     def _on_delivery(self, frame: Frame) -> None:
         dst = frame.dst
@@ -337,15 +354,19 @@ class Simulation:
     # -- probing -----------------------------------------------------------
 
     def _maybe_probe(self, node: NodeState, target: int) -> None:
-        key = (node.id, target)
-        if self._next_probe_at.get(key, 0) > self.now:
+        probes = self._probes[node.id]
+        probe = probes.get(target)
+        if probe is None:
+            probe = probes[target] = Probe(node.id, target)
+        elif probe.ready_at > self.now:
             return
-        self._next_probe_at[key] = math.inf
+        probe.ready_at = math.inf
+        probe.attempt = 1
         # probing an unresponsive candidate strobes its whole budget
-        frame = Frame("probe", node.id, target, airtime_ms=self.scenario.radio.strobe_airtime_ms)
-        self._queue_strobe(frame, self._reserve(frame, self.now))
+        end = self._reserve(node.id, self.scenario.radio.strobe_airtime_ms, self.now)
+        self._queue_strobe(probe, end)
 
-    def _queue_strobe(self, frame: Frame, end: int) -> list[Frame]:
+    def _queue_strobe(self, probe: Probe, end: int) -> list[Probe]:
         """Queue a strobe ending at ``end``: at the train that is the last
         entry of that time's bucket, else as a new train.  Returns the train,
         which later strobes ending at ``end`` may join while nothing else is
@@ -354,39 +375,42 @@ class Simulation:
         if bucket is not None:
             last = bucket[-1][1]
             if last.__class__ is list:  # only a strobe train's args are a list
-                last.append(frame)
+                last.append(probe)
                 return last
-        train = [frame]
+        train = [probe]
         self._schedule(end, self._on_strobe_train, train)
         return train
 
-    def _on_strobe_train(self, *train: Frame) -> None:
+    def _on_strobe_train(self, *train: Probe) -> None:
         """Run the strobes of one train in order; a failed one with budget left
         goes straight back on the air."""
         now, tx_free_at, in_range = self.now, self._tx_free_at, self._in_range
         deliver = self.radio.deliver
+        strobe_ms = self.scenario.radio.strobe_airtime_ms
         # the train the last re-queue joined, and its end time; nothing else
         # is queued until a chain ends
         tail, tail_end = None, None
-        for frame in train:
-            src = frame.src
-            acked = deliver(now, frame.airtime_ms, in_range[src], tx_free_at, frame.dst)
-            if acked or frame.attempt >= PROBE_ATTEMPTS:
+        for probe in train:
+            src = probe.src
+            acked = deliver(now, strobe_ms, in_range[src], tx_free_at, probe.dst)
+            if acked or probe.attempt >= PROBE_ATTEMPTS:
                 tail = tail_end = None
+                # the cooldown is set before the result is applied, which
+                # may ask for a probe of the same target
+                probe.ready_at = now + PROBE_COOLDOWN_MS
                 node = self.nodes[src]
-                self._next_probe_at[(src, frame.dst)] = now + PROBE_COOLDOWN_MS
-                self._apply_actions(node, rpl.note_probe_result(node, frame.dst, acked))
+                self._apply_actions(node, rpl.note_probe_result(node, probe.dst, acked))
                 continue
-            # _reserve's end time, computed here: the frame keeps its
-            # airtime, and a re-queue ending when the last one did joins its
-            # train without a call (strobes are most events of an attack run)
-            frame.attempt += 1
+            # _reserve's end time, computed here: a re-queue ending when the
+            # last one did joins its train without a call (strobes are most
+            # events of an attack run)
+            probe.attempt += 1
             free = tx_free_at[src]
-            end = tx_free_at[src] = (free if free > now else now) + frame.airtime_ms
+            end = tx_free_at[src] = (free if free > now else now) + strobe_ms
             if end == tail_end:
-                tail.append(frame)
+                tail.append(probe)
             else:
-                tail, tail_end = self._queue_strobe(frame, end), end
+                tail, tail_end = self._queue_strobe(probe, end), end
 
     # -- data path ---------------------------------------------------------
 

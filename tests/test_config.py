@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from rplsim import engine
+from rplsim import cli, engine
 from rplsim.config import (
     BatchConfig,
     ConfigError,
@@ -232,6 +232,31 @@ class TestLoadBatch:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_batch("/nonexistent/path.cfg")
+
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("[scenario]\nname = a\n\nname = b\n", 4, "[scenario] name is given twice"),
+            ("[radio]\nbase_loss = 0\n[scenario]\n[radio]\n", 4, "[radio] is given twice"),
+            ("name = demo\n[scenario]\n", 1, "a key comes before any [section] header"),
+            ("[scenario]\nname = a\nseeds 1 2\n", 3, "expected 'key = value' or a [section] header"),
+        ],
+        ids=["duplicate key", "duplicate section", "no section header", "no delimiter"],
+    )
+    def test_syntax_error_names_the_file_and_line(self, tmp_path, capsys, text, line, reason):
+        path = write_cfg(tmp_path, text)
+        message = f"{path}, line {line}: {reason}"
+        with pytest.raises(ConfigError) as caught:
+            load_batch(path)
+        assert str(caught.value) == message
+        # the command line reports it as a config error, not a traceback
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["load%test", "a%%b", "100%", "%(name)s"])
+    def test_a_percent_sign_is_read_as_written(self, tmp_path, name):
+        batch = load_batch(write_cfg(tmp_path, f"[scenario]\nname = {name}\n"))
+        assert batch.base.name == name
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):

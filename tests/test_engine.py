@@ -176,7 +176,7 @@ class TestDispatchOrder:
         real_train = engine.Simulation._on_strobe_train
 
         def on_strobe_train(self, *train):
-            trains.append((self.now, [frame.src for frame in train]))
+            trains.append((self.now, [probe.src for probe in train]))
             real_train(self, *train)
 
         monkeypatch.setattr(engine.Simulation, "_on_strobe_train", on_strobe_train)
@@ -203,9 +203,10 @@ class TestDispatchOrder:
         monkeypatch.setattr(rpl, "note_probe_result", note_probe_result)
         # one train at strobe_ms: node 2's strobe is its chain's last, the
         # others fail and retry
-        for src, attempt in ((1, 1), (2, engine.PROBE_ATTEMPTS), (3, 1)):
-            frame = engine.Frame("probe", src, attacker, airtime_ms=strobe_ms, attempt=attempt)
-            sim._queue_strobe(frame, sim._reserve(frame, 0))
+        for src in (1, 2, 3):
+            sim._maybe_probe(sim.nodes[src], attacker)
+        sim._probes[2][attacker].attempt = engine.PROBE_ATTEMPTS
+        assert [p.src for p in sim._buckets[strobe_ms][-1][1]] == [1, 2, 3]
         sim.run()
         assert ran == ["strobe 1", "note", "strobe 3"]
 
@@ -529,12 +530,22 @@ class TestAirtime:
         assert dio.airtime_ms == sim.scenario.radio.airtime_per_msg_ms
         # a probe strobes for the configured strobe airtime instead
         queued = []
-        monkeypatch.setattr(sim, "_queue_strobe", lambda frame, end: queued.append((frame, end)))
+        monkeypatch.setattr(sim, "_queue_strobe", lambda probe, end: queued.append((probe, end)))
         sim._maybe_probe(sim.nodes[3], 0)
         strobe_ms = sim.scenario.radio.strobe_airtime_ms
-        assert [(f.kind, f.airtime_ms, end) for f, end in queued] == [
-            ("probe", strobe_ms, strobe_ms)
-        ]
+        assert [(p.src, p.dst, p.attempt, end) for p, end in queued] == [(3, 0, 1, strobe_ms)]
+        airtimes = []
+
+        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+            airtimes.append(airtime_ms)
+            return False  # not acknowledged: the probe strobes again
+
+        monkeypatch.setattr(Radio, "deliver", deliver)
+        sim.now = strobe_ms
+        sim._on_strobe_train(queued[0][0])
+        assert airtimes == [strobe_ms]
+        assert [(p.attempt, end) for p, end in queued[1:]] == [(2, 2 * strobe_ms)]
+        assert queued[1][0] is queued[0][0]  # the same probe, re-queued
 
 
 class TestRetryChains:
@@ -606,23 +617,18 @@ class TestRetryChains:
         counting = types.SimpleNamespace(**{**vars(real_heapq), "heappush": heappush})
         monkeypatch.setattr(engine, "heapq", counting)
 
-        def requeue_times():
-            # a probe frame is a member of one strobe train per strobe: every
-            # appearance after its first is a re-queue of a failed strobe
-            seen, times = set(), []
-            for t, bucket in sorted(pushed, key=lambda item: item[0]):
-                for handler, args in bucket:
-                    if handler.__func__ is engine.Simulation._on_strobe_train:
-                        for frame in args:
-                            if id(frame) in seen:
-                                times.append(t)
-                            seen.add(id(frame))
-            return times
+        # a strobe past its chain's first attempt is a re-queue of a failed one
+        requeued = []
+        real_train = engine.Simulation._on_strobe_train
 
+        def on_strobe_train(self, *train):
+            requeued.extend(self.now for probe in train if probe.attempt > 1)
+            real_train(self, *train)
+
+        monkeypatch.setattr(engine.Simulation, "_on_strobe_train", on_strobe_train)
         sc = make_variant(small_base(), "attack", "static", 1000)
         engine.run(sc, 1)
         assert max(t for t, _ in pushed) <= sc.duration_ms
-        requeued = requeue_times()
         assert len(requeued) > 1000
         # end a run 1 ms before a re-queued strobe lands: the attempt before
         # it fails as it did, and its re-queue must be dropped
@@ -631,6 +637,39 @@ class TestRetryChains:
         pushed.clear()
         engine.run(sc, 1)
         assert max(t for t, _ in pushed) <= cut
+
+    def test_a_chain_end_that_asks_again_waits_out_the_cooldown(self, monkeypatch):
+        # the attack starts at 90 s, so only these requests probe the attacker
+        sc = make_variant(small_base(duration_ms=8_000), "attack", "static", 1000)
+        sim = engine.Simulation(sc, seed=1)
+        strobe_ms = sc.radio.strobe_airtime_ms
+        attacker, row = sc.attacker_ids[0], sim._in_range[1]
+        strobes, notes = [], []
+        real_deliver, real_note = Radio.deliver, rpl.note_probe_result
+
+        def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
+            if receivers is row and draw_for == attacker and airtime_ms == strobe_ms:
+                strobes.append(now)
+            return real_deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for)
+
+        def note_probe_result(node, target, ok):
+            if (node.id, target) != (1, attacker):
+                return real_note(node, target, ok)
+            notes.append(sim.now)
+            return [("probe", target)]  # the chain's end asks for the same link again
+
+        monkeypatch.setattr(Radio, "deliver", deliver)
+        monkeypatch.setattr(rpl, "note_probe_result", note_probe_result)
+        for t in range(0, sc.duration_ms, 100):
+            sim._schedule(t, sim._maybe_probe, (sim.nodes[1], attacker))
+        sim.run()
+        per_chain = engine.PROBE_ATTEMPTS
+        assert len(notes) >= 4
+        for k, note in enumerate(notes):
+            assert note == strobes[(k + 1) * per_chain - 1]  # the chain's last strobe
+            later = strobes[(k + 1) * per_chain :]
+            if later:  # the next chain's first strobe starts after the cooldown
+                assert later[0] >= note + engine.PROBE_COOLDOWN_MS + strobe_ms
 
     def test_a_lost_data_frame_is_sent_again_as_attempt_two(self, monkeypatch):
         sim, events = self.run_watched(monkeypatch, seed=1)
