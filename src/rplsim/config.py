@@ -188,15 +188,14 @@ def _ms(raw: str) -> int:
     seconds = float(raw)
     if not math.isfinite(seconds):
         raise ValueError(f"seconds must be finite, got {raw}")
-    return round(seconds * 1000)
+    ms = seconds * 1000
+    if not math.isfinite(ms):
+        raise ValueError(f"too large to count in milliseconds, got {raw}")
+    return round(ms)
 
 
 def _ms_list(raw: str) -> tuple[int, ...]:
     return tuple(_ms(tok) for tok in raw.split())
-
-
-def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split())
 
 
 def _words(raw: str) -> tuple[str, ...]:
@@ -238,7 +237,6 @@ _FORMAT = {
         "positions": ("positions", _positions),
         "data_interval_s": ("data_interval_ms", _ms),
         "replications": ("replications", _replications),
-        "seeds": ("seeds", _ints),
         "modes": ("modes", _words),
         "mobility_modes": ("mobility_modes", _words),
         "replay_intervals_s": ("replay_intervals_ms", _ms_list),
@@ -247,9 +245,6 @@ _FORMAT = {
         "tx_range_m": ("tx_range_m", float),
         "base_loss": ("base_loss", float),
         "congestion": ("congestion_model", str),
-        "airtime_ms": ("airtime_per_msg_ms", int),
-        "capacity_per_window": ("capacity_per_window", int),
-        "window_ms": ("window_ms", int),
         "strobe_ms": ("strobe_airtime_ms", int),
     },
     "mobility": {
@@ -270,7 +265,7 @@ _FORMAT = {
         "check_period_s": ("check_period_ms", _ms),
     },
 }
-_BATCH_KEYS = ("replications", "seeds", "modes", "mobility_modes", "replay_intervals_ms")
+_BATCH_KEYS = ("replications", "modes", "mobility_modes", "replay_intervals_ms")
 
 
 def _syntax_error(path: str, err: configparser.Error) -> ConfigError:
@@ -318,11 +313,8 @@ def load_batch(path: str) -> BatchConfig:
 
     scenario = given["scenario"]
     batch = {key: scenario.pop(key) for key in _BATCH_KEYS if key in scenario}
-    replications = batch.pop("replications", None)
-    if replications is not None:
-        if "seeds" in batch:
-            raise ConfigError("[scenario] replications and seeds: give one, not both")
-        batch["seeds"] = tuple(range(1, replications + 1))
+    if "replications" in batch:
+        batch["seeds"] = tuple(range(1, batch.pop("replications") + 1))
     try:
         base = ScenarioConfig(
             **scenario,

@@ -61,9 +61,9 @@ the same time; that train is forgotten whenever a chain ends, because the
 end of a chain may queue other events.
 
 Protocol timings are the fixed module constants below, not configuration:
-unicast airtime, probe strobes and cooldown, data retries and backoff,
-forwarding and DAO delays, and the mobility step.  The detector has no
-timer here: ``ids.process_dio`` decides on each reception whether its
+broadcast and unicast airtime, probe strobes and cooldown, data retries and
+backoff, forwarding and DAO delays, and the mobility step.  The detector has
+no timer here: ``ids.process_dio`` decides on each reception whether its
 periodic check is due, and answers with its ``(kind, subject)`` events,
 which ``_receive_dio`` records as they come, or ``None``, which it records
 as an ``ids_discard`` before dropping the copy.
@@ -87,6 +87,7 @@ from .ids import IdsState
 from .radio import Mobility, Radio
 from .rpl import DioMessage, NodeState, Role
 
+BROADCAST_AIRTIME_MS = 10  # multicast dio/dis, never retried
 UNICAST_AIRTIME_MS = 30  # duty-cycled unicast, strobe until the ack
 PROBE_ATTEMPTS = 5
 PROBE_COOLDOWN_MS = 1000
@@ -285,9 +286,7 @@ class Simulation:
     def _transmit(self, frame: Frame, not_before: int) -> None:
         """Send a multicast or unicast frame; ``_on_delivery`` runs when its
         airtime ends."""
-        frame.airtime_ms = (
-            self.scenario.radio.airtime_per_msg_ms if frame.dst is None else UNICAST_AIRTIME_MS
-        )
+        frame.airtime_ms = BROADCAST_AIRTIME_MS if frame.dst is None else UNICAST_AIRTIME_MS
         end = self._reserve(frame.src, frame.airtime_ms, not_before)
         self._schedule(end, self._on_delivery, (frame,))
 

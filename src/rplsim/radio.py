@@ -5,21 +5,21 @@ sender the ascending ids of the nodes within range, and the engine computes
 that row on the sender's first transmission after positions change.  Every
 frame heard at a receiver (addressed to it or not) charges that receiver's
 load in the one current congestion window with the frame's airtime (frames
-come in time order, so all loads restart at zero when a new window opens);
-once a load exceeds ``capacity_per_window * airtime_per_msg_ms``, further
-frames to that receiver are lost with probability that escalates with the
-excess.  Receivers that are themselves transmitting when a frame lands miss
-it outright (half duplex).  Loss is drawn in receiver order as frames are
-charged.  A charge is applied only when a draw in the same window reads a
-load; charges that no draw reads before the window closes are dropped (in
-an attack run most frames are strobes at an addressee that never
-acknowledges, and nothing reads their charges).  Loads are integer sums, so
-every draw sees the same load as if each frame had been charged on arrival,
-and the draws are made in the same number and order.  A unicast reports
-whether its addressee acknowledged: the radio is told at construction which
-addresses never acknowledge (the attackers), and such an addressee still
-uses its loss draw, so the random stream is the same as if it had been
-heard and ignored.
+come in time order, so all loads restart at zero when a new window opens).
+A window is ``WINDOW_MS`` long and holds its own length of airtime: once a
+load exceeds ``WINDOW_MS``, further frames to that receiver are lost with
+probability that escalates with the excess.  Receivers that are themselves
+transmitting when a frame lands miss it outright (half duplex).  Loss is
+drawn in receiver order as frames are charged.  A charge is applied only
+when a draw in the same window reads a load; charges that no draw reads
+before the window closes are dropped (in an attack run most frames are
+strobes at an addressee that never acknowledges, and nothing reads their
+charges).  Loads are integer sums, so every draw sees the same load as if
+each frame had been charged on arrival, and the draws are made in the same
+number and order.  A unicast reports whether its addressee acknowledged:
+the radio is told at construction which addresses never acknowledge (the
+attackers), and such an addressee still uses its loss draw, so the random
+stream is the same as if it had been heard and ignored.
 
 Mobility implements the random waypoint model: pick a uniform point in the
 area, walk to it at a uniformly drawn speed, pause, repeat.
@@ -31,15 +31,14 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+WINDOW_MS = 100  # one congestion window, and the airtime a receiver holds in it
+
 
 @dataclass(frozen=True)
 class RadioConfig:
     tx_range_m: float = 50.0
     base_loss: float = 0.01
     congestion_model: str = "airtime"  # "airtime" or "none"
-    airtime_per_msg_ms: int = 10
-    capacity_per_window: int = 10
-    window_ms: int = 100
     strobe_airtime_ms: int = 100  # occupancy of an unacknowledged unicast try
 
     def __post_init__(self) -> None:
@@ -49,14 +48,8 @@ class RadioConfig:
             raise ValueError("base_loss must be in [0, 1)")
         if self.congestion_model not in ("airtime", "none"):
             raise ValueError("congestion_model must be 'airtime' or 'none'")
-        if min(self.airtime_per_msg_ms, self.capacity_per_window, self.window_ms) < 1:
-            raise ValueError("airtime/capacity/window must be >= 1")
         if self.strobe_airtime_ms < 1:
             raise ValueError("strobe_airtime_ms must be >= 1")
-
-    @property
-    def capacity_ms(self) -> int:
-        return self.capacity_per_window * self.airtime_per_msg_ms
 
 
 class Radio:
@@ -68,11 +61,10 @@ class Radio:
         # addresses that never acknowledge a unicast
         self._silent = frozenset(silent)
         # bound once: deliver runs for every frame
-        self._window_ms = config.window_ms
         self._base_loss = config.base_loss
         self._random = rng.random
         # airtime a window holds before frames start to be lost; none: never
-        self._capacity_ms = config.capacity_ms if config.congestion_model == "airtime" else math.inf
+        self._capacity_ms = WINDOW_MS if config.congestion_model == "airtime" else math.inf
         # the current window, the airtime each node has heard in it, and the
         # (receivers, airtime) charges of this window not yet added to it
         self._win = 0
@@ -118,7 +110,7 @@ class Radio:
         the module docstring), so the caller must not mutate that list
         afterwards: the engine replaces its in-range rows, never edits them.
         """
-        win = now // self._window_ms
+        win = now // WINDOW_MS
         if win != self._win:
             assert win > self._win, "frames must be delivered in time order"
             self._win = win

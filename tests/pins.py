@@ -78,7 +78,7 @@ duration_s = 300
 modes = baseline attack cosec
 mobility_modes = static mobile
 replay_intervals_s = 1
-seeds = 1 2
+replications = 2
 
 [radio]
 tx_range_m = 65

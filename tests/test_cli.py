@@ -252,7 +252,7 @@ class TestMain:
     def test_attack_after_the_run_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "late.cfg"
         cfg.write_text(
-            "[scenario]\nduration_s = 60\nmodes = cosec\nseeds = 1 2\n"
+            "[scenario]\nduration_s = 60\nmodes = cosec\nreplications = 2\n"
             "[attacker]\nattack_start_s = 90\n"
         )
         code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])

@@ -6,7 +6,8 @@ import configparser
 import math
 import operator
 import os
-from dataclasses import replace
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
@@ -40,9 +41,6 @@ replay_intervals_s = 1 3
 tx_range_m = 60
 base_loss = 0.05
 congestion = none
-airtime_ms = 12
-capacity_per_window = 8
-window_ms = 50
 strobe_ms = 80
 
 [mobility]
@@ -76,16 +74,12 @@ EVERY_KEY = [
     ("scenario", "positions", POSITIONS, "base.positions", LAYOUT),
     ("scenario", "data_interval_s", "7.5", "base.data_interval_ms", 7_500),
     ("scenario", "replications", "3", "seeds", (1, 2, 3)),
-    ("scenario", "seeds", "5 7", "seeds", (5, 7)),
     ("scenario", "modes", "attack", "modes", ("attack",)),
     ("scenario", "mobility_modes", "mobile", "mobility_modes", ("mobile",)),
     ("scenario", "replay_intervals_s", "0.5 2.5", "replay_intervals_ms", (500, 2_500)),
     ("radio", "tx_range_m", "65", "base.radio.tx_range_m", 65.0),
     ("radio", "base_loss", "0.2", "base.radio.base_loss", 0.2),
     ("radio", "congestion", "none", "base.radio.congestion_model", "none"),
-    ("radio", "airtime_ms", "12", "base.radio.airtime_per_msg_ms", 12),
-    ("radio", "capacity_per_window", "8", "base.radio.capacity_per_window", 8),
-    ("radio", "window_ms", "50", "base.radio.window_ms", 50),
     ("radio", "strobe_ms", "80", "base.radio.strobe_airtime_ms", 80),
     ("mobility", "speed_min", "0.5", "base.mobility.speed_min", 0.5),
     ("mobility", "speed_max", "3", "base.mobility.speed_max", 3.0),
@@ -156,7 +150,7 @@ class TestLoadBatch:
 
         listed = {(section, key) for section, key, *_ in EVERY_KEY}
         assert listed == {(section, key) for section in _FORMAT for key in _FORMAT[section]}
-        assert len(listed) == 29
+        assert len(listed) == 25
 
     def test_readme_block_lists_every_key_at_its_default(self, tmp_path):
         from rplsim.config import _FORMAT
@@ -167,19 +161,8 @@ class TestLoadBatch:
         parser.read_string(block)
         listed = {section: list(parser[section]) for section in parser.sections()}
         assert listed == {section: list(keys) for section, keys in _FORMAT.items()}
-        # the shown values are the defaults; the seed list is an example,
-        # and a file gives it or replications, not both
-        with pytest.raises(ConfigError, match="replications and seeds"):
-            load_batch(write_cfg(tmp_path, block))
-
-        def without(key):
-            return "".join(line for line in block.splitlines(True) if not line.startswith(key))
-
-        defaults = ScenarioConfig()
-        assert load_batch(write_cfg(tmp_path, without("seeds"))) == BatchConfig(base=defaults)
-        assert load_batch(write_cfg(tmp_path, without("replications"))) == BatchConfig(
-            base=defaults, seeds=(1, 2, 3)
-        )
+        # the shown values are the defaults
+        assert load_batch(write_cfg(tmp_path, block)) == BatchConfig(base=ScenarioConfig())
 
     def test_seconds_round_to_the_nearest_millisecond(self, tmp_path):
         text = (
@@ -202,6 +185,27 @@ class TestLoadBatch:
         message = rf"^\[scenario\] duration_s: seconds must be finite, got {value}$"
         with pytest.raises(ConfigError, match=message):
             load_batch(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("scenario", "duration_s", "1e306"),
+            ("attacker", "attack_start_s", "1e308"),
+            ("scenario", "replay_intervals_s", "1 1e306"),
+        ],
+    )
+    def test_seconds_too_large_for_milliseconds_rejected(
+        self, tmp_path, capsys, section, key, value
+    ):
+        # finite seconds whose millisecond count overflows to infinity used
+        # to crash with an OverflowError traceback (exit 1)
+        path = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
+        message = f"[{section}] {key}: too large to count in milliseconds, got {value.split()[-1]}"
+        with pytest.raises(ConfigError) as caught:
+            load_batch(path)
+        assert str(caught.value) == message
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize(
         "section,key,value,field,kwargs",
@@ -275,12 +279,6 @@ class TestLoadBatch:
         with pytest.raises(ConfigError, match="^gap_threshold_ms must be >= 1$"):
             load_batch(write_cfg(tmp_path, f"[ids]\ngap_threshold_ms = {value}\n"))
 
-    def test_replications_and_seeds_together_rejected(self, tmp_path):
-        # two settings for one decision: neither may silently win
-        text = "[scenario]\nreplications = 3\nseeds = 5 7\n"
-        with pytest.raises(ConfigError, match=r"^\[scenario\] replications and seeds: give one"):
-            load_batch(write_cfg(tmp_path, text))
-
     def test_block_threshold_below_two_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="block_threshold must be >= 2"):
             load_batch(write_cfg(tmp_path, "[ids]\nblock_threshold = 1\n"))
@@ -290,10 +288,11 @@ class TestLoadBatch:
         with pytest.raises(ConfigError, match="attackers must not exceed sensors"):
             load_batch(write_cfg(tmp_path, text))
 
-    def test_retired_knobs_are_unknown_keys(self, tmp_path):
+    def test_retired_knobs_are_unknown_keys(self, tmp_path, capsys):
         # MRHOF, first-heard capture and the last-gap rule are the only
-        # behaviours; positions alone choose the layout, and one setting
-        # (gap_threshold_ms) the gap test
+        # behaviours; positions alone choose the layout, one setting
+        # (gap_threshold_ms) the gap test and one (replications) the seeds;
+        # the congestion window is the radio's constant
         for section, key, value in (
             ("scenario", "objective", "mrhof"),
             ("attacker", "capture", "first_heard"),
@@ -301,10 +300,34 @@ class TestLoadBatch:
             ("scenario", "topology", "explicit"),
             ("ids", "safe_interval_ms", "500"),
             ("ids", "sigma_margin_ms", "4500"),
+            ("radio", "airtime_ms", "10"),
+            ("radio", "capacity_per_window", "10"),
+            ("radio", "window_ms", "100"),
+            ("scenario", "seeds", "1 2"),
         ):
-            text = f"[{section}]\n{key} = {value}\n"
+            path = write_cfg(tmp_path, f"[{section}]\n{key} = {value}\n")
             with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key: {key}$"):
-                load_batch(write_cfg(tmp_path, text))
+                load_batch(path)
+            # an old config fails as a config error, not a traceback
+            assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"config error: [{section}] unknown key: {key}\n"
+
+
+class TestSettableValues:
+    """Every settable value is counted: adding a knob means editing a figure here."""
+
+    def test_ini_keys(self):
+        from rplsim.config import _FORMAT
+
+        assert sum(len(keys) for keys in _FORMAT.values()) == 25
+
+    def test_fields_reachable_from_batch_config(self):
+        def reachable(cls):
+            hints = typing.get_type_hints(cls)
+            nested = [hints[f.name] for f in fields(cls) if is_dataclass(hints[f.name])]
+            return len(fields(cls)) + sum(reachable(sub) for sub in nested)
+
+        assert reachable(BatchConfig) == 35  # nested config dataclasses included
 
 
 class TestVariants:
@@ -356,11 +379,9 @@ class TestVariants:
         with pytest.raises(ConfigError, match="replay_intervals"):
             BatchConfig(base=ScenarioConfig(name="g"), replay_intervals_ms=(1000, 1000))
 
-    def test_repeated_seeds_rejected(self, tmp_path):
+    def test_repeated_seeds_rejected(self):
         with pytest.raises(ConfigError, match="seeds"):
             BatchConfig(base=ScenarioConfig(name="g"), seeds=(1, 2, 1))
-        with pytest.raises(ConfigError, match="seeds"):
-            load_batch(write_cfg(tmp_path, "[scenario]\nseeds = 3 4 3\n"))
 
     def test_repeated_modes_rejected(self, tmp_path):
         # each repeat would run every job of the mode again under one label

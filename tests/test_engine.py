@@ -12,7 +12,7 @@ import pytest
 
 from rplsim import engine, ids, rpl
 from rplsim.config import ConfigError, ScenarioConfig, make_variant
-from rplsim.radio import MobilityConfig, Radio, RadioConfig
+from rplsim.radio import WINDOW_MS, MobilityConfig, Radio, RadioConfig
 from rplsim.rpl import Role
 
 from . import pins
@@ -496,7 +496,7 @@ class TestInRangeLists:
 
         def deliver(radio, now, airtime_ms, receivers, tx_free_at, draw_for=None):
             nonlocal checked
-            win = now // radio.config.window_ms
+            win = now // WINDOW_MS
             while held and held[0][0] < win:
                 _, row, copy = held.pop(0)
                 assert row == copy
@@ -521,13 +521,15 @@ class TestInRangeLists:
 
 class TestAirtime:
     def test_unicast_airtime_is_an_engine_constant(self, monkeypatch):
-        assert "unicast_airtime_ms" not in {f.name for f in fields(RadioConfig)}
+        settable = {f.name for f in fields(RadioConfig)}
+        retired = ("unicast_airtime_ms", "airtime_per_msg_ms", "capacity_per_window", "window_ms")
+        assert not settable & set(retired)
         sim = engine.Simulation(small_base(), 1)
         data, dio = engine.Frame("data", 1, 0), engine.Frame("dio", 2, None)
         sim._transmit(data, 0)
         sim._transmit(dio, 0)
         assert data.airtime_ms == engine.UNICAST_AIRTIME_MS == 30
-        assert dio.airtime_ms == sim.scenario.radio.airtime_per_msg_ms
+        assert dio.airtime_ms == engine.BROADCAST_AIRTIME_MS == 10
         # a probe strobes for the configured strobe airtime instead
         queued = []
         monkeypatch.setattr(sim, "_queue_strobe", lambda probe, end: queued.append((probe, end)))

@@ -140,13 +140,16 @@ class TestCongestion:
 class ReferenceRadio:
     """The congestion model as first written: a window id per receiver, every
     receiver charged before any draw, loss drawn by a separate function, and
-    a ``silent`` addressee's outcome thrown away after its draw."""
+    a ``silent`` addressee's outcome thrown away after its draw.  Its window
+    and capacity are its own literals, so they pin the radio's constants."""
+
+    WINDOW_MS = 100
+    CAPACITY_MS = 10 * 10  # ten 10 ms broadcasts
 
     def __init__(self, config, rng, n_nodes, silent=()):
         self.silent = set(silent)
-        self.window_ms = config.window_ms
         self.base_loss = config.base_loss
-        self.capacity = config.capacity_ms if config.congestion_model == "airtime" else None
+        self.capacity = self.CAPACITY_MS if config.congestion_model == "airtime" else None
         self.rng = rng
         self.window_id = [-1] * n_nodes
         self.occupied = [0] * n_nodes
@@ -160,7 +163,7 @@ class ReferenceRadio:
         return self.rng.random() < p_loss
 
     def deliver(self, now, airtime_ms, receivers, tx_free_at, draw_for=None):
-        win = now // self.window_ms
+        win = now // self.WINDOW_MS
         for r in receivers:
             if self.window_id[r] == win:
                 self.occupied[r] += airtime_ms
@@ -212,7 +215,7 @@ class TestAgainstReference:
             heard = draw_for in receivers and tx_free_at[draw_for] <= now
             seen["silent"] += heard and draw_for in silent
             seen["over_capacity"] += any(
-                reference.occupied[r] > config.capacity_ms for r in receivers
+                reference.occupied[r] > ReferenceRadio.CAPACITY_MS for r in receivers
             )
         assert min(seen.values()) > 100, seen
 
@@ -234,7 +237,8 @@ class TestAgainstReference:
         seen = {"closed_unapplied": 0, "applied_5_or_more": 0, "broadcast": 0, "legit": 0}
         for _ in range(6000):
             step = calls.choice((0, 0, 0, 0, 1, 2, 5, 10, 20, 150))
-            if (now + step) // config.window_ms != now // config.window_ms:
+            window_ms = ReferenceRadio.WINDOW_MS
+            if (now + step) // window_ms != now // window_ms:
                 seen["closed_unapplied"] += unapplied > 0
                 unapplied = 0
             now += step
